@@ -8,7 +8,7 @@
 
 use st_bench::criterion::{criterion_group, criterion_main, Criterion};
 use st_core::facility::{Config, Expired, SoftTimerCore};
-use st_wheel::{HeapQueue, HierarchicalWheel, TimerQueue};
+use st_wheel::{HeapQueue, TimerQueue};
 
 fn bench_poll_not_due(c: &mut Criterion) {
     let mut group = c.benchmark_group("facility");
@@ -54,20 +54,6 @@ fn bench_schedule_fire_cycle(c: &mut Criterion) {
     group.bench_function("heap_store", |b| {
         let mut core: SoftTimerCore<u64, HeapQueue<u64>> =
             SoftTimerCore::with_queue(Config::default(), HeapQueue::new());
-        let mut out = Vec::new();
-        let mut now = 0u64;
-        core.schedule(now, 40, 1);
-        b.iter(|| {
-            now += 20;
-            out.clear();
-            if core.poll(now, &mut out) > 0 {
-                core.schedule(now, 40, 1);
-            }
-        });
-    });
-    group.bench_function("hierarchical_store", |b| {
-        let mut core: SoftTimerCore<u64, HierarchicalWheel<u64>> =
-            SoftTimerCore::with_queue(Config::default(), HierarchicalWheel::new());
         let mut out = Vec::new();
         let mut now = 0u64;
         core.schedule(now, 40, 1);

@@ -1,11 +1,10 @@
 //! Timer data structures: the paper's "modified timing wheels" choice
-//! (section 3, footnote 2) against a binary-heap baseline and the other
-//! wheel schemes — schedule, advance, and cancel at several pending-set
-//! sizes.
+//! (section 3, footnote 2) against a binary-heap baseline — schedule,
+//! advance, and cancel at several pending-set sizes.
 
 use st_bench::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_bench::{deadline_stream, PENDING_SIZES};
-use st_wheel::{CalendarQueue, HashedWheel, HeapQueue, HierarchicalWheel, SimpleWheel, TimerQueue};
+use st_wheel::{HashedWheel, HeapQueue, TimerQueue};
 
 /// One full churn cycle: keep `pending` timers live while time advances
 /// in small steps, rescheduling every expired timer — the facility's
@@ -33,17 +32,8 @@ fn bench_churn(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("heap", n), &n, |b, &n| {
             b.iter(|| churn(&mut HeapQueue::new(), n, 1_000));
         });
-        group.bench_with_input(BenchmarkId::new("simple_wheel", n), &n, |b, &n| {
-            b.iter(|| churn(&mut SimpleWheel::new(4_096), n, 1_000));
-        });
         group.bench_with_input(BenchmarkId::new("hashed_wheel", n), &n, |b, &n| {
             b.iter(|| churn(&mut HashedWheel::with_slots(4_096), n, 1_000));
-        });
-        group.bench_with_input(BenchmarkId::new("hierarchical_wheel", n), &n, |b, &n| {
-            b.iter(|| churn(&mut HierarchicalWheel::new(), n, 1_000));
-        });
-        group.bench_with_input(BenchmarkId::new("calendar_queue", n), &n, |b, &n| {
-            b.iter(|| churn(&mut CalendarQueue::new(), n, 1_000));
         });
     }
     group.finish();
@@ -77,16 +67,6 @@ fn bench_sparse_advance(c: &mut Criterion) {
     let mut group = c.benchmark_group("sparse_advance_1ms_jump");
     group.bench_function("hashed_wheel", |b| {
         let mut q: HashedWheel<()> = HashedWheel::new();
-        q.schedule(u64::MAX / 2, ());
-        let mut now = 0;
-        let mut out = Vec::new();
-        b.iter(|| {
-            now += 1_000;
-            q.advance(now, &mut out);
-        });
-    });
-    group.bench_function("hierarchical_wheel", |b| {
-        let mut q: HierarchicalWheel<()> = HierarchicalWheel::new();
         q.schedule(u64::MAX / 2, ());
         let mut now = 0;
         let mut out = Vec::new();

@@ -27,7 +27,7 @@ use st_prof::Sampler;
 use st_scope::{ExecLedger, ScopeConfig, ScopeSession};
 use st_sim::{SimDuration, SimTime};
 use st_trace::json::{self, ObjectBuilder, Value};
-use st_wheel::{CalendarQueue, HashedWheel, HeapQueue, HierarchicalWheel, TimerQueue};
+use st_wheel::{HashedWheel, HeapQueue, TimerQueue};
 
 use crate::criterion::measure;
 
@@ -63,7 +63,7 @@ fn stat(name: &'static str, samples: Vec<f64>) -> BenchStat {
     }
 }
 
-/// One schedule → fire → cancel cycle over a pre-built wheel variant:
+/// One schedule → fire → cancel cycle over a pre-built timer queue:
 /// 256 timers in, advance until half fire, cancel whatever remains.
 /// The queue is constructed once outside the timed loop — constructing
 /// (and allocating) a wheel per iteration measures the allocator, which
@@ -114,7 +114,7 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
     let n = if smoke { 5 } else { 30 };
     let mut out = Vec::new();
 
-    // Wheel variants: the full schedule/fire/cancel lifecycle.
+    // Wheel and heap oracle: the full schedule/fire/cancel lifecycle.
     out.push(stat(
         "wheel.hashed.schedule_fire_cancel",
         measure(n, |b| {
@@ -123,23 +123,9 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
         }),
     ));
     out.push(stat(
-        "wheel.hierarchical.schedule_fire_cancel",
-        measure(n, |b| {
-            let mut w = WheelCycle::new(HierarchicalWheel::new());
-            b.iter(|| w.cycle())
-        }),
-    ));
-    out.push(stat(
         "wheel.heap.schedule_fire_cancel",
         measure(n, |b| {
             let mut w = WheelCycle::new(HeapQueue::new());
-            b.iter(|| w.cycle())
-        }),
-    ));
-    out.push(stat(
-        "wheel.calendar.schedule_fire_cancel",
-        measure(n, |b| {
-            let mut w = WheelCycle::new(CalendarQueue::new());
             b.iter(|| w.cycle())
         }),
     ));
@@ -679,6 +665,7 @@ mod tests {
         let names: Vec<&str> = stats.iter().map(|s| s.name).collect();
         for expect in [
             "wheel.hashed.schedule_fire_cancel",
+            "wheel.heap.schedule_fire_cancel",
             "facility.poll_not_due",
             "kernel.trigger_check",
             "trace.sealed_noop_emit",

@@ -81,7 +81,7 @@ impl<P> Expired<P> {
 /// keeps the core free of clock plumbing and lets the simulated kernel and
 /// the real-time runtime share it unchanged. The timer store defaults to
 /// the paper's choice — a hashed timing wheel — but any
-/// [`TimerQueue`] implementation works (see the `wheel_ablation` bench).
+/// [`TimerQueue`] implementation works.
 ///
 /// The firing rule follows section 3 of the paper exactly: an event
 /// scheduled at tick `S` with delta `T` fires at the first check whose
@@ -102,7 +102,6 @@ pub struct SoftTimerCore<P, Q: TimerQueue<P> = HashedWheel<P>> {
     /// Reusable sweep buffer: the due-event batch is collected here so the
     /// dispatch path never allocates after the first sweep warms it up.
     scratch: Vec<(u64, P)>,
-    _payload: std::marker::PhantomData<P>,
 }
 
 impl<P> SoftTimerCore<P> {
@@ -122,7 +121,6 @@ impl<P, Q: TimerQueue<P>> SoftTimerCore<P, Q> {
             stats: FacilityStats::new(),
             last_seen: 0,
             scratch: Vec::new(),
-            _payload: std::marker::PhantomData,
         }
     }
 
@@ -453,6 +451,27 @@ mod tests {
         // Deadline saturates to u64::MAX; a check at u64::MAX fires it.
         assert_eq!(c.poll(u64::MAX, &mut out), 1);
         assert_eq!(out[0].delay(), 0);
+    }
+
+    fn pinned_clock_at_end_of_time<Q: TimerQueue<u32>>(queue: Q) {
+        let mut c = SoftTimerCore::with_queue(Config::default(), queue);
+        c.schedule(5, u64::MAX, 1);
+        let mut out = Vec::new();
+        assert_eq!(c.poll(u64::MAX, &mut out), 1);
+        // The clock is pinned at its maximum (what `rt.rs` counts as a
+        // time saturation): a re-arm saturates to the same tick, and the
+        // next check — the store's second advance to `u64::MAX` — fires it.
+        c.schedule(u64::MAX, u64::MAX, 2);
+        assert_eq!(c.poll(u64::MAX, &mut out), 1);
+        assert_eq!(c.poll(u64::MAX, &mut out), 0);
+        let fired: Vec<(u32, u64)> = out.iter().map(|e| (e.payload, e.fired_at)).collect();
+        assert_eq!(fired, vec![(1, u64::MAX), (2, u64::MAX)]);
+    }
+
+    #[test]
+    fn pinned_clock_at_end_of_time_keeps_firing() {
+        pinned_clock_at_end_of_time(HashedWheel::new());
+        pinned_clock_at_end_of_time(st_wheel::HeapQueue::new());
     }
 
     #[test]

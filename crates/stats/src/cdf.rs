@@ -1,4 +1,4 @@
-//! Exact sample sets and empirical CDFs.
+//! Exact sample sets.
 
 /// An exact collection of samples supporting order statistics.
 ///
@@ -113,74 +113,9 @@ impl Samples {
         above as f64 / self.values.len() as f64
     }
 
-    /// Consumes the set into a sorted empirical CDF.
-    pub fn into_ecdf(mut self) -> Ecdf {
-        self.ensure_sorted();
-        Ecdf {
-            sorted: self.values,
-        }
-    }
-
     /// Read-only view of the raw values (unspecified order).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-}
-
-/// A frozen empirical cumulative distribution function.
-#[derive(Debug, Clone)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
-}
-
-impl Ecdf {
-    /// Builds an ECDF from arbitrary samples.
-    pub fn from_samples(values: impl IntoIterator<Item = f64>) -> Self {
-        let mut s = Samples::new();
-        for v in values {
-            s.record(v);
-        }
-        s.into_ecdf()
-    }
-
-    /// `P(X <= x)`.
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let n = self.sorted.partition_point(|&v| v <= x);
-        n as f64 / self.sorted.len() as f64
-    }
-
-    /// Number of underlying samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the ECDF holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Inverse CDF: smallest sample `x` with `P(X <= x) >= q`.
-    pub fn inverse(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((q * self.sorted.len() as f64).ceil() as usize).saturating_sub(1);
-        Some(self.sorted[idx.min(self.sorted.len() - 1)])
-    }
-
-    /// Emits `points` evenly spaced `(x, cumulative_fraction)` pairs over
-    /// `[0, x_max]`, the format of the paper's CDF figures.
-    pub fn plot_points(&self, x_max: f64, points: usize) -> Vec<(f64, f64)> {
-        (0..=points)
-            .map(|i| {
-                let x = x_max * i as f64 / points as f64;
-                (x, self.fraction_at_or_below(x))
-            })
-            .collect()
     }
 }
 
@@ -218,30 +153,6 @@ mod tests {
         }
         assert!((s.fraction_above(2.0) - 0.25).abs() < 1e-12);
         assert!((s.fraction_above(1.9) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ecdf_roundtrip() {
-        let e = Ecdf::from_samples([3.0, 1.0, 2.0]);
-        assert_eq!(e.len(), 3);
-        assert!((e.fraction_at_or_below(0.5) - 0.0).abs() < 1e-12);
-        assert!((e.fraction_at_or_below(1.0) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((e.fraction_at_or_below(2.5) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((e.fraction_at_or_below(3.0) - 1.0).abs() < 1e-12);
-        assert_eq!(e.inverse(0.5), Some(2.0));
-    }
-
-    #[test]
-    fn plot_points_monotone() {
-        let e = Ecdf::from_samples((0..100).map(|i| i as f64));
-        let pts = e.plot_points(150.0, 30);
-        assert_eq!(pts.len(), 31);
-        let mut last = -1.0;
-        for &(x, f) in &pts {
-            assert!(f >= last, "non-monotone at x={x}");
-            last = f;
-        }
-        assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

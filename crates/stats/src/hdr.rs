@@ -5,8 +5,8 @@
 //! range), but host-runtime measurements span seven decades — a 20 ns
 //! trigger check and a 100 ms scheduler stall land in the same
 //! distribution. A linear histogram either saturates its overflow bucket
-//! or wastes millions of buckets; [`crate::LogHistogram`]'s power-of-two
-//! buckets keep constant space but only ~50 % relative precision.
+//! or wastes millions of buckets; plain power-of-two buckets keep
+//! constant space but only ~50 % relative precision.
 //!
 //! [`HdrHistogram`] takes the classic high-dynamic-range compromise:
 //! each power-of-two octave is split into `2^sub_bucket_bits` linear

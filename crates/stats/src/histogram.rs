@@ -231,56 +231,6 @@ pub struct QuantileSnapshot {
     pub p999: f64,
 }
 
-/// Power-of-two bucketed histogram for values spanning many decades.
-///
-/// Bucket `i` covers `[2^i, 2^(i+1))`; values below 1 land in bucket 0.
-/// Used for coarse latency breakdowns where a linear histogram would need
-/// millions of buckets.
-#[derive(Debug, Clone, Default)]
-pub struct LogHistogram {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl LogHistogram {
-    /// Creates an empty logarithmic histogram.
-    pub fn new() -> Self {
-        LogHistogram::default()
-    }
-
-    /// Records a non-negative integer observation.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value <= 1 {
-            0
-        } else {
-            (63 - value.leading_zeros()) as usize
-        };
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, 0);
-        }
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterates over `(bucket_lower_bound, count)` pairs.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts.iter().enumerate().map(|(i, &c)| (1u64 << i, c))
-    }
-
-    /// Upper bound (exclusive) of the highest non-empty bucket, or 0.
-    pub fn max_bound(&self) -> u64 {
-        match self.counts.iter().rposition(|&c| c > 0) {
-            Some(i) => 1u64 << (i + 1),
-            None => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,26 +456,5 @@ mod tests {
             snap.p99,
             e99
         );
-    }
-
-    #[test]
-    fn log_histogram_buckets() {
-        let mut h = LogHistogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        let buckets: Vec<(u64, u64)> = h.buckets().collect();
-        assert_eq!(buckets[0], (1, 2));
-        assert_eq!(buckets[1], (2, 2));
-        assert_eq!(h.max_bound(), 2048);
-        assert_eq!(h.count(), 5);
-    }
-
-    #[test]
-    fn log_histogram_empty_max_bound() {
-        let h = LogHistogram::new();
-        assert_eq!(h.max_bound(), 0);
     }
 }

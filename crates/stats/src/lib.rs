@@ -7,10 +7,9 @@
 //!
 //! - [`Summary`] — streaming count/mean/variance/min/max (Welford).
 //! - [`Histogram`] — fixed-width linear histogram with quantile queries.
-//! - [`LogHistogram`] — power-of-two bucketed histogram for wide ranges.
 //! - [`HdrHistogram`] — log-bucketed histogram with bounded relative error
 //!   for wall-clock nanosecond ranges (host-runtime measurements).
-//! - [`Samples`] / [`Ecdf`] — exact sample sets and empirical CDFs.
+//! - [`Samples`] — exact sample sets with order-statistic quantiles.
 //! - [`P2Quantile`] — constant-space streaming quantile estimator.
 //! - [`WindowedMedian`] — per-interval medians over a time series.
 //! - [`Series`] — simple (x, y) series with CSV export for plotting.
@@ -29,9 +28,9 @@ pub mod series;
 pub mod summary;
 pub mod window;
 
-pub use cdf::{Ecdf, Samples};
+pub use cdf::Samples;
 pub use hdr::HdrHistogram;
-pub use histogram::{Histogram, LogHistogram, QuantileSnapshot};
+pub use histogram::{Histogram, QuantileSnapshot};
 pub use p2::P2Quantile;
 pub use series::Series;
 pub use summary::Summary;

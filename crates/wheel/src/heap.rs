@@ -9,9 +9,9 @@ use crate::{TimerHandle, TimerQueue};
 /// A timer queue backed by a binary heap of `(deadline, seq)` keys.
 ///
 /// `O(log n)` schedule and expire. This is what a conventional OS timer
-/// facility (e.g. a `callout` heap) provides; the wheels are measured
+/// facility (e.g. a `callout` heap) provides; the wheel is measured
 /// against it in `st-bench`, and the property tests use it as the oracle
-/// the wheels must agree with.
+/// the wheel must agree with.
 ///
 /// # Examples
 ///

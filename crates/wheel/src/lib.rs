@@ -2,40 +2,31 @@
 //!
 //! The paper maintains scheduled soft-timer events in "a modified form of
 //! timing wheels" (section 3, footnote 2), citing Varghese & Lauck. This
-//! crate implements the relevant schemes plus a baseline:
+//! crate implements that structure plus the reference it is tested against:
 //!
-//! - [`HeapQueue`] — binary-heap timer queue (`O(log n)` insert/expire), the
-//!   baseline every wheel is benchmarked against.
-//! - [`SimpleWheel`] — one slot per tick over a bounded horizon with an
-//!   overflow list (Varghese & Lauck scheme 4).
 //! - [`HashedWheel`] — deadline hashed modulo the slot count, unsorted
 //!   per-slot lists (scheme 6) — `O(1)` insert, amortized `O(1)` expiry at
-//!   soft-timer densities.
-//! - [`HierarchicalWheel`] — multiple levels of wheels with cascading
-//!   (scheme 7), unbounded horizon with small memory.
-//! - [`CalendarQueue`] — Brown's self-resizing calendar (an ablation
-//!   point: the adaptive-geometry alternative to fixed wheels).
+//!   soft-timer densities. The facility's store.
+//! - [`HeapQueue`] — binary-heap timer queue (`O(log n)` insert/expire), the
+//!   oracle the wheel must agree with and the baseline it is benchmarked
+//!   against.
 //!
-//! All implementations share the [`TimerQueue`] trait, carry generic
-//! payloads, support `O(1)` cancelation through generation-checked
-//! [`TimerHandle`]s, and fire events in deadline order (FIFO among equal
-//! deadlines) so they are interchangeable inside the facility. Property
-//! tests check each wheel against [`HeapQueue`] as an oracle.
+//! Both share the [`TimerQueue`] trait, carry generic payloads, support
+//! `O(1)` cancelation through generation-checked [`TimerHandle`]s, and fire
+//! events in deadline order (FIFO among equal deadlines) so they are
+//! interchangeable inside the facility. Seeded property tests check the
+//! wheel against [`HeapQueue`] on generated op sequences.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod heap;
-pub mod hierarchical;
 pub mod slab;
 pub mod wheel;
 
-pub use calendar::CalendarQueue;
 pub use heap::HeapQueue;
-pub use hierarchical::HierarchicalWheel;
 pub use slab::TimerHandle;
-pub use wheel::{HashedWheel, SimpleWheel};
+pub use wheel::HashedWheel;
 
 /// A queue of `(deadline_tick, payload)` timers.
 ///

@@ -1,7 +1,4 @@
-//! Simple and hashed timing wheels (Varghese & Lauck schemes 4 and 6).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The hashed timing wheel (Varghese & Lauck scheme 6).
 
 use crate::slab::{Entry, TimerSlab};
 use crate::{TimerHandle, TimerQueue};
@@ -11,223 +8,11 @@ fn drain_sorted<P>(due: &mut Vec<(u64, u64, P)>, out: &mut Vec<(u64, P)>) {
     out.extend(due.drain(..).map(|(d, _, p)| (d, p)));
 }
 
-/// Simple timing wheel: one slot per tick over a bounded horizon, with an
-/// overflow heap for deadlines beyond it (scheme 4 of Varghese & Lauck).
-///
-/// Insert and per-tick expiry are `O(1)` for deadlines within the horizon.
-/// The facility's backing store wants exactly this shape: soft-timer events
-/// live tens to hundreds of ticks in the future, far inside a modest
-/// horizon.
-///
-/// # Examples
-///
-/// ```
-/// use st_wheel::{SimpleWheel, TimerQueue};
-///
-/// let mut w = SimpleWheel::new(1024);
-/// w.schedule(40, "poll");
-/// w.schedule(4000, "beyond-horizon"); // lands in the overflow heap
-/// let mut out = Vec::new();
-/// w.advance(50, &mut out);
-/// assert_eq!(out, vec![(40, "poll")]);
-/// ```
-#[derive(Debug)]
-pub struct SimpleWheel<P> {
-    slots: Vec<Vec<Entry>>,
-    overflow: BinaryHeap<Reverse<(u64, u64, Entry)>>,
-    past_due: Vec<Entry>,
-    /// Reusable sweep buffer; keeps `advance` allocation-free once warm.
-    sweep: Vec<(u64, u64, P)>,
-    slab: TimerSlab<P>,
-    now: u64,
-    seq: u64,
-}
-
-impl<P> SimpleWheel<P> {
-    /// Creates a wheel with `horizon` one-tick slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `horizon` is zero.
-    pub fn new(horizon: usize) -> Self {
-        assert!(horizon > 0, "horizon must be positive");
-        SimpleWheel {
-            slots: (0..horizon).map(|_| Vec::new()).collect(),
-            overflow: BinaryHeap::new(),
-            past_due: Vec::new(),
-            sweep: Vec::new(),
-            slab: TimerSlab::new(),
-            now: 0,
-            seq: 0,
-        }
-    }
-
-    /// Number of slots (the horizon, in ticks).
-    pub fn horizon(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of timers currently parked in the overflow heap.
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
-    }
-
-    fn place(&mut self, deadline: u64, entry: Entry, seq: u64) {
-        if deadline <= self.now {
-            self.past_due.push(entry);
-        } else if deadline - self.now < self.slots.len() as u64 {
-            // st-lint: allow(no-silent-cast) -- value reduced modulo the
-            // slot count, so it always fits a usize index
-            let idx = (deadline % self.slots.len() as u64) as usize;
-            self.slots[idx].push(entry);
-        } else {
-            self.overflow.push(Reverse((deadline, seq, entry)));
-        }
-    }
-
-    /// Pulls overflow entries that now fit in the horizon into slots.
-    fn migrate_overflow(&mut self) {
-        let horizon = self.slots.len() as u64;
-        while let Some(&Reverse((deadline, seq, entry))) = self.overflow.peek() {
-            if deadline > self.now && deadline - self.now >= horizon {
-                break;
-            }
-            self.overflow.pop();
-            // Skip entries canceled while parked.
-            if self
-                .slab
-                .deadline_of(entry.index, entry.generation)
-                .is_some()
-            {
-                self.place(deadline, entry, seq);
-            }
-        }
-    }
-
-    fn collect_slot(
-        slot: &mut Vec<Entry>,
-        slab: &mut TimerSlab<P>,
-        now: u64,
-        due: &mut Vec<(u64, u64, P)>,
-    ) {
-        slot.retain(|entry| {
-            match slab.deadline_of(entry.index, entry.generation) {
-                // Canceled while parked: drop the husk.
-                None => false,
-                Some(d) if d <= now => {
-                    if let Some((dd, seq, p)) = slab.remove_index(entry.index, entry.generation) {
-                        due.push((dd, seq, p));
-                    }
-                    false
-                }
-                // A later rotation: keep.
-                Some(_) => true,
-            }
-        });
-    }
-}
-
-impl<P> TimerQueue<P> for SimpleWheel<P> {
-    fn schedule(&mut self, deadline: u64, payload: P) -> TimerHandle {
-        let handle = self.slab.insert(deadline, payload);
-        let seq = self.seq;
-        self.seq += 1;
-        self.place(
-            deadline,
-            Entry {
-                index: handle.index,
-                generation: handle.generation,
-            },
-            seq,
-        );
-        handle
-    }
-
-    fn cancel(&mut self, handle: TimerHandle) -> Option<P> {
-        self.slab.remove(handle).map(|(_, _, p)| p)
-    }
-
-    fn advance(&mut self, now: u64, out: &mut Vec<(u64, P)>) {
-        assert!(
-            now >= self.now,
-            "time went backwards: {} -> {now}",
-            self.now
-        );
-        let old = self.now;
-        self.now = now;
-        // Migrate first so overflow entries that became due inside this
-        // advance land in `past_due` and fire below, not one call late.
-        self.migrate_overflow();
-
-        let mut due = std::mem::take(&mut self.sweep);
-        let past = std::mem::take(&mut self.past_due);
-        for entry in past {
-            if let Some((d, s, p)) = self.slab.remove_index(entry.index, entry.generation) {
-                due.push((d, s, p));
-            }
-        }
-
-        let horizon = self.slots.len() as u64;
-        let jump = now - old;
-        if jump >= horizon {
-            // Every slot's current rotation is due; visit each slot once.
-            for i in 0..self.slots.len() {
-                let mut slot = std::mem::take(&mut self.slots[i]);
-                Self::collect_slot(&mut slot, &mut self.slab, now, &mut due);
-                self.slots[i] = slot;
-            }
-        } else {
-            for tick in (old + 1)..=now {
-                // st-lint: allow(no-silent-cast) -- value reduced modulo
-                // the slot count, so it always fits a usize index
-                let idx = (tick % horizon) as usize;
-                let mut slot = std::mem::take(&mut self.slots[idx]);
-                Self::collect_slot(&mut slot, &mut self.slab, now, &mut due);
-                self.slots[idx] = slot;
-            }
-        }
-        drain_sorted(&mut due, out);
-        self.sweep = due;
-    }
-
-    fn next_deadline(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        let mut consider = |d: u64| {
-            min = Some(match min {
-                Some(m) => m.min(d),
-                None => d,
-            });
-        };
-        for entry in &self.past_due {
-            if let Some(d) = self.slab.deadline_of(entry.index, entry.generation) {
-                consider(d);
-            }
-        }
-        for slot in &self.slots {
-            for entry in slot {
-                if let Some(d) = self.slab.deadline_of(entry.index, entry.generation) {
-                    consider(d);
-                }
-            }
-        }
-        for &Reverse((_, _, entry)) in self.overflow.iter() {
-            if let Some(d) = self.slab.deadline_of(entry.index, entry.generation) {
-                consider(d);
-            }
-        }
-        min
-    }
-
-    fn len(&self) -> usize {
-        self.slab.len()
-    }
-}
-
 /// Hashed timing wheel: deadlines hash into `slots` by modulo, each slot an
 /// unsorted list checked against the full deadline (scheme 6).
 ///
-/// Unlike [`SimpleWheel`] there is no horizon: a deadline arbitrarily far
-/// out parks in its slot and survives as many cursor rotations as needed.
+/// There is no horizon: a deadline arbitrarily far out parks in its slot
+/// and survives as many cursor rotations as needed.
 /// This is the structure the paper's facility is described as using.
 ///
 /// # Examples
@@ -254,7 +39,6 @@ pub struct HashedWheel<P> {
     sweep: Vec<(u64, u64, P)>,
     slab: TimerSlab<P>,
     now: u64,
-    seq: u64,
 }
 
 impl<P> HashedWheel<P> {
@@ -273,7 +57,6 @@ impl<P> HashedWheel<P> {
             sweep: Vec::new(),
             slab: TimerSlab::new(),
             now: 0,
-            seq: 0,
         }
     }
 
@@ -297,7 +80,6 @@ impl<P> Default for HashedWheel<P> {
 impl<P> TimerQueue<P> for HashedWheel<P> {
     fn schedule(&mut self, deadline: u64, payload: P) -> TimerHandle {
         let handle = self.slab.insert(deadline, payload);
-        self.seq += 1;
         let entry = Entry {
             index: handle.index,
             generation: handle.generation,
@@ -357,10 +139,13 @@ impl<P> TimerQueue<P> for HashedWheel<P> {
                 self.slots[i] = slot;
             }
         } else {
-            for tick in (self.now + 1)..=now {
+            // Visits ticks `self.now + 1 ..= now` as `tick_before + 1`, which
+            // cannot overflow because `tick_before < now`; `self.now + 1`
+            // does once the wheel has been advanced to `u64::MAX`.
+            for tick_before in self.now..now {
                 // st-lint: allow(no-silent-cast) -- masked to the
                 // power-of-two slot count, so it always fits a usize index
-                let idx = (tick & self.mask) as usize;
+                let idx = ((tick_before + 1) & self.mask) as usize;
                 let mut slot = std::mem::take(&mut self.slots[idx]);
                 visit(&mut slot, &mut self.slab, &mut due);
                 self.slots[idx] = slot;
@@ -404,63 +189,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn simple_wheel_fires_in_order() {
-        let mut w = SimpleWheel::new(64);
-        w.schedule(30, 3);
-        w.schedule(10, 1);
-        w.schedule(20, 2);
-        let mut out = Vec::new();
-        w.advance(40, &mut out);
-        assert_eq!(out, vec![(10, 1), (20, 2), (30, 3)]);
-    }
-
-    #[test]
-    fn simple_wheel_overflow_migrates() {
-        let mut w = SimpleWheel::new(16);
-        w.schedule(100, "far");
-        assert_eq!(w.overflow_len(), 1);
-        let mut out = Vec::new();
-        w.advance(90, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(w.overflow_len(), 0, "migrated into slots");
-        w.advance(100, &mut out);
-        assert_eq!(out, vec![(100, "far")]);
-    }
-
-    #[test]
-    fn simple_wheel_big_jump_drains_everything() {
-        let mut w = SimpleWheel::new(8);
-        for d in [1u64, 5, 7, 200, 5000] {
-            w.schedule(d, d);
-        }
-        let mut out = Vec::new();
-        w.advance(10_000, &mut out);
-        let fired: Vec<u64> = out.iter().map(|&(d, _)| d).collect();
-        assert_eq!(fired, vec![1, 5, 7, 200, 5000]);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn simple_wheel_cancel_in_overflow() {
-        let mut w = SimpleWheel::new(8);
-        let h = w.schedule(1000, ());
-        assert_eq!(w.cancel(h), Some(()));
-        let mut out = Vec::new();
-        w.advance(2000, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn simple_wheel_past_deadline_fires_next_advance() {
-        let mut w = SimpleWheel::new(8);
-        let mut out = Vec::new();
-        w.advance(50, &mut out);
-        w.schedule(10, "past");
-        w.advance(50, &mut out);
-        assert_eq!(out, vec![(10, "past")]);
-    }
-
-    #[test]
     fn hashed_wheel_rotations() {
         let mut w = HashedWheel::with_slots(16);
         w.schedule(5, 'a');
@@ -492,13 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn simple_wheel_next_deadline_sees_overflow() {
-        let mut w = SimpleWheel::new(4);
-        w.schedule(1000, ());
-        assert_eq!(w.next_deadline(), Some(1000));
-    }
-
-    #[test]
     fn fifo_among_equal_deadlines() {
         let mut w = HashedWheel::with_slots(8);
         for i in 0..4 {
@@ -511,8 +232,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "time went backwards")]
-    fn simple_wheel_rejects_regression() {
-        let mut w: SimpleWheel<()> = SimpleWheel::new(4);
+    fn hashed_wheel_rejects_regression() {
+        let mut w: HashedWheel<()> = HashedWheel::with_slots(4);
         let mut out = Vec::new();
         w.advance(5, &mut out);
         w.advance(4, &mut out);

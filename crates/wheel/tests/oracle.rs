@@ -1,4 +1,4 @@
-//! Randomized oracle tests: every wheel must agree with the binary-heap
+//! Randomized oracle tests: the wheel must agree with the binary-heap
 //! oracle on arbitrary schedule / cancel / advance sequences.
 //!
 //! Op sequences are drawn from the in-repo deterministic [`SimRng`]
@@ -7,37 +7,94 @@
 //! network access.
 
 use st_sim::SimRng;
-use st_wheel::{CalendarQueue, HashedWheel, HeapQueue, HierarchicalWheel, SimpleWheel, TimerQueue};
+use st_wheel::{HashedWheel, HeapQueue, TimerQueue};
 
-/// An operation in a random timer workload.
+/// An operation in a random timer workload. All tick arithmetic
+/// saturates: a case may run at the end of time.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Schedule a timer `delta` ticks past the current advance point.
-    Schedule { delta: u64 },
+    /// Schedule a timer at `deadline`.
+    Schedule { deadline: Deadline },
     /// Cancel the `nth` still-live handle (modulo live count).
     Cancel { nth: usize },
     /// Advance time forward by `delta` ticks.
     Advance { delta: u64 },
 }
 
-/// Weighted draw matching the old strategy: schedule 4, cancel 1,
-/// advance 2.
-fn random_op(rng: &mut SimRng) -> Op {
+/// Where a scheduled timer's deadline lies.
+#[derive(Debug, Clone, Copy)]
+enum Deadline {
+    /// This many ticks past the current advance point.
+    Ahead(u64),
+    /// This many ticks *before* the current advance point.
+    Behind(u64),
+    /// This many ticks before `u64::MAX`.
+    FromEnd(u64),
+}
+
+/// Slot count of `HashedWheel::new()`, the geometry every embedding runs.
+const DEFAULT_SLOTS: u64 = 4096;
+
+/// How far ahead a case schedules and how far it jumps, in ticks.
+#[derive(Debug, Clone, Copy)]
+struct Spans {
+    schedule: u64,
+    advance: u64,
+}
+
+const SPANS: [Spans; 3] = [
+    // The facility at 1 µs ticks: events tens to thousands of ticks out.
+    Spans {
+        schedule: 5000,
+        advance: 2000,
+    },
+    // Deltas spanning many rotations of the default geometry, crossed in
+    // small steps: entries must survive every pass over their slot.
+    Spans {
+        schedule: 64 * DEFAULT_SLOTS,
+        advance: 2000,
+    },
+    // What the host runtime feeds the wheel at 1 GHz ticks: ms-scale
+    // deltas and jumps that exceed the slot count.
+    Spans {
+        schedule: 2_000_000,
+        advance: 1_000_000,
+    },
+];
+
+/// Weighted draw: schedule 4 (of which one in eight lands in the past and
+/// one in eight near `u64::MAX`), cancel 1, advance 2.
+fn random_op(rng: &mut SimRng, spans: Spans) -> Op {
     match rng.range_u64(0, 7) {
         0..=3 => Op::Schedule {
-            delta: rng.range_u64(0, 5000),
+            deadline: match rng.range_u64(0, 8) {
+                0 => Deadline::Behind(rng.range_u64(0, spans.schedule)),
+                1 => Deadline::FromEnd(rng.range_u64(0, DEFAULT_SLOTS)),
+                _ => Deadline::Ahead(rng.range_u64(0, spans.schedule)),
+            },
         },
         4 => Op::Cancel {
             nth: rng.next_u64() as usize,
         },
         _ => Op::Advance {
-            delta: rng.range_u64(0, 2000),
+            delta: rng.range_u64(0, spans.advance),
         },
     }
 }
 
+/// One case: a span regime, and one case in four opens with a jump to
+/// within a few default rotations of `u64::MAX` so the rest of it runs
+/// against the end of time.
 fn random_ops(rng: &mut SimRng) -> Vec<Op> {
-    (0..rng.range_u64(1, 120)).map(|_| random_op(rng)).collect()
+    let spans = SPANS[rng.index(SPANS.len())];
+    let mut ops = Vec::new();
+    if rng.range_u64(0, 4) == 0 {
+        ops.push(Op::Advance {
+            delta: u64::MAX - rng.range_u64(0, 3 * DEFAULT_SLOTS),
+        });
+    }
+    ops.extend((0..rng.range_u64(1, 120)).map(|_| random_op(rng, spans)));
+    ops
 }
 
 /// Runs the op sequence against `queue` and the oracle simultaneously,
@@ -50,8 +107,12 @@ fn check_against_oracle<Q: TimerQueue<u64>>(mut queue: Q, ops: &[Op]) {
 
     for op in ops {
         match *op {
-            Op::Schedule { delta } => {
-                let deadline = now + delta;
+            Op::Schedule { deadline } => {
+                let deadline = match deadline {
+                    Deadline::Ahead(delta) => now.saturating_add(delta),
+                    Deadline::Behind(back) => now.saturating_sub(back),
+                    Deadline::FromEnd(back) => u64::MAX - back,
+                };
                 let h1 = queue.schedule(deadline, payload);
                 let h2 = oracle.schedule(deadline, payload);
                 live.push((h1, h2));
@@ -68,7 +129,7 @@ fn check_against_oracle<Q: TimerQueue<u64>>(mut queue: Q, ops: &[Op]) {
                 assert_eq!(c1, c2, "cancel result diverged");
             }
             Op::Advance { delta } => {
-                now += delta;
+                now = now.saturating_add(delta);
                 let mut out1 = Vec::new();
                 let mut out2 = Vec::new();
                 queue.advance(now, &mut out1);
@@ -87,13 +148,16 @@ fn check_against_oracle<Q: TimerQueue<u64>>(mut queue: Q, ops: &[Op]) {
         );
     }
 
-    // Drain everything left and compare.
-    let mut out1 = Vec::new();
-    let mut out2 = Vec::new();
-    queue.advance(now + (1u64 << 34), &mut out1);
-    oracle.advance(now + (1u64 << 34), &mut out2);
-    assert_eq!(out1, out2, "final drain diverged");
-    assert!(queue.is_empty());
+    // Drain everything left and compare. The second advance to the same
+    // tick is the pinned-clock case: it must be a no-op, not an overflow.
+    for _ in 0..2 {
+        let mut out1 = Vec::new();
+        let mut out2 = Vec::new();
+        queue.advance(u64::MAX, &mut out1);
+        oracle.advance(u64::MAX, &mut out2);
+        assert_eq!(out1, out2, "final drain diverged");
+        assert!(queue.is_empty());
+    }
 }
 
 const CASES: u64 = 64;
@@ -107,14 +171,8 @@ fn run_cases<Q: TimerQueue<u64>>(seed: u64, make: impl Fn() -> Q) {
 }
 
 #[test]
-fn simple_wheel_matches_heap() {
-    run_cases(0x51, || SimpleWheel::new(512));
-}
-
-#[test]
-fn small_simple_wheel_matches_heap() {
-    // A tiny horizon exercises the overflow path constantly.
-    run_cases(0x52, || SimpleWheel::new(7));
+fn default_hashed_wheel_matches_heap() {
+    run_cases(0x51, HashedWheel::new);
 }
 
 #[test]
@@ -130,40 +188,21 @@ fn tiny_hashed_wheel_matches_heap() {
 }
 
 #[test]
-fn hierarchical_wheel_matches_heap() {
-    run_cases(0x55, HierarchicalWheel::new);
-}
-
-#[test]
-fn calendar_queue_matches_heap() {
-    run_cases(0x56, CalendarQueue::new);
-}
-
-#[test]
-fn hierarchical_wheel_long_jumps() {
-    // Long jumps stress cascading and the overflow list.
-    let mut rng = SimRng::seed(0x57);
-    for _ in 0..CASES {
-        let deadlines: Vec<u64> = (0..rng.range_u64(1, 40))
-            .map(|_| rng.range_u64(0, 200_000_000))
-            .collect();
-        let deltas: Vec<u64> = (0..rng.range_u64(1, 40))
-            .map(|_| rng.range_u64(0, 100_000_000))
-            .collect();
-        let mut w = HierarchicalWheel::new();
-        let mut oracle = HeapQueue::new();
-        for (i, &d) in deadlines.iter().enumerate() {
-            w.schedule(d, i as u64);
-            oracle.schedule(d, i as u64);
-        }
-        let mut now = 0;
-        for &d in &deltas {
-            now += d;
-            let mut o1 = Vec::new();
-            let mut o2 = Vec::new();
-            w.advance(now, &mut o1);
-            oracle.advance(now, &mut o2);
-            assert_eq!(o1, o2, "diverged at t={now}");
-        }
-    }
+fn end_of_time_rearm_matches_heap() {
+    // A wheel advanced to `u64::MAX` stays usable: re-arming there (the
+    // facility's saturated deadline under a pinned clock) and advancing
+    // to the same tick again fires the new timer.
+    let ops = [
+        Op::Schedule {
+            deadline: Deadline::FromEnd(0),
+        },
+        Op::Advance { delta: u64::MAX },
+        Op::Schedule {
+            deadline: Deadline::Ahead(0),
+        },
+        Op::Advance { delta: 0 },
+        Op::Advance { delta: 0 },
+    ];
+    check_against_oracle(HashedWheel::new(), &ops);
+    check_against_oracle(HashedWheel::with_slots(1), &ops);
 }

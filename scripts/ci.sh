@@ -165,8 +165,29 @@ else
         || { echo "rt chaos smoke: no stalled lane recovered" >&2; exit 1; }
 fi
 
-echo "== bench trend (informational) =="
+echo "== ledger smoke: the repo's benchmark, every workload once =="
+# The BENCHMARK.json command with --smoke: st-ledger builds against the
+# workspace crates from its own package and runs every workload in 0.5 s
+# boxes plus one traced run, each checked by its oracle. A result that is
+# not `correct`, or that counts a failed operation, fails the step (the
+# timings themselves never gate here). The host workloads spin real
+# threads, so RT_SMOKE=0 skips this step too.
+if [ "${RT_SMOKE:-1}" = "0" ]; then
+    echo "ledger smoke: skipped (RT_SMOKE=0)"
+else
+    cargo run --release --offline --quiet --manifest-path benches/ledger/Cargo.toml -- \
+        --smoke > "$SMOKE_DIR/ledger.txt"
+    [ -s "$SMOKE_DIR/ledger.txt" ] \
+        || { echo "ledger smoke: no result lines" >&2; exit 1; }
+    if grep -v '{"correct":true,"attempted":[0-9]*,"failed":0,' "$SMOKE_DIR/ledger.txt" >&2; then
+        echo "ledger smoke: a workload was not correct or counted failures" >&2
+        exit 1
+    fi
+fi
+
+echo "== bench trend + loc budget (informational) =="
 scripts/bench_trend.sh || true
+scripts/loc_budget.sh || true
 
 echo "== bench suite (smoke) + perf gate =="
 # Measures the hot-path suite at smoke precision, then gates it against

@@ -18,7 +18,7 @@ tol="${PERF_GATE_TOL:-0.30}"
 
 # The baseline is the newest BENCH_*.json tracked by git, not whatever
 # an earlier local run left in the worktree.
-prior="$(git ls-files 'BENCH_*.json' | sort | tail -n 1)"
+prior="$(git ls-files 'BENCH_*.json' | sort -V | tail -n 1)"
 if [ -z "$prior" ]; then
     echo "perf gate: no committed BENCH_*.json baseline yet - skipping"
     exit 0
