@@ -8,7 +8,7 @@
 
 use st_bench::criterion::{criterion_group, criterion_main, Criterion};
 use st_core::facility::{Config, Expired, SoftTimerCore};
-use st_wheel::{HeapQueue, TimerQueue};
+use st_wheel::HeapQueue;
 
 fn bench_poll_not_due(c: &mut Criterion) {
     let mut group = c.benchmark_group("facility");
@@ -38,7 +38,7 @@ fn bench_schedule_fire_cycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("facility_schedule_fire");
     // Steady-state rate-based clocking: one pending event, fired and
     // rescheduled 40 ticks out, with a trigger check every 20 ticks.
-    group.bench_function("hashed_wheel_default", |b| {
+    group.bench_function("timing_wheel_default", |b| {
         let mut core: SoftTimerCore<u64> = SoftTimerCore::new(Config::default());
         let mut out = Vec::new();
         let mut now = 0u64;
@@ -85,32 +85,10 @@ fn bench_backup_sweep(c: &mut Criterion) {
     });
 }
 
-fn bench_wheel_len_ablation(c: &mut Criterion) {
-    // How the default store's advance cost scales with pending events —
-    // the data behind choosing the hashed wheel for the facility.
-    let mut group = c.benchmark_group("wheel_ablation_pending");
-    for n in [16u64, 256, 4_096] {
-        group.bench_function(format!("hashed_{n}"), |b| {
-            let mut q: st_wheel::HashedWheel<u64> = st_wheel::HashedWheel::new();
-            let mut now = 0u64;
-            for i in 0..n {
-                q.schedule(1_000_000_000 + i, i);
-            }
-            let mut out = Vec::new();
-            b.iter(|| {
-                now += 30;
-                q.advance(now, &mut out);
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_poll_not_due,
     bench_schedule_fire_cycle,
-    bench_backup_sweep,
-    bench_wheel_len_ablation
+    bench_backup_sweep
 );
 criterion_main!(benches);

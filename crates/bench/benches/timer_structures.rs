@@ -4,7 +4,7 @@
 
 use st_bench::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_bench::{deadline_stream, PENDING_SIZES};
-use st_wheel::{HashedWheel, HeapQueue, TimerQueue};
+use st_wheel::{HeapQueue, TimerQueue, TimingWheel};
 
 /// One full churn cycle: keep `pending` timers live while time advances
 /// in small steps, rescheduling every expired timer — the facility's
@@ -32,8 +32,8 @@ fn bench_churn(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("heap", n), &n, |b, &n| {
             b.iter(|| churn(&mut HeapQueue::new(), n, 1_000));
         });
-        group.bench_with_input(BenchmarkId::new("hashed_wheel", n), &n, |b, &n| {
-            b.iter(|| churn(&mut HashedWheel::with_slots(4_096), n, 1_000));
+        group.bench_with_input(BenchmarkId::new("timing_wheel", n), &n, |b, &n| {
+            b.iter(|| churn(&mut TimingWheel::new(), n, 1_000));
         });
     }
     group.finish();
@@ -50,9 +50,9 @@ fn bench_schedule_cancel(c: &mut Criterion) {
             }
         });
     });
-    group.bench_function("hashed_wheel", |b| {
+    group.bench_function("timing_wheel", |b| {
         b.iter(|| {
-            let mut q = HashedWheel::with_slots(4_096);
+            let mut q = TimingWheel::new();
             let handles: Vec<_> = (0..1_000u64).map(|i| q.schedule(i * 3 + 1, i)).collect();
             for h in handles {
                 q.cancel(h);
@@ -65,8 +65,8 @@ fn bench_schedule_cancel(c: &mut Criterion) {
 fn bench_sparse_advance(c: &mut Criterion) {
     // The idle-system case: advancing a long way with nothing due.
     let mut group = c.benchmark_group("sparse_advance_1ms_jump");
-    group.bench_function("hashed_wheel", |b| {
-        let mut q: HashedWheel<()> = HashedWheel::new();
+    group.bench_function("timing_wheel", |b| {
+        let mut q: TimingWheel<()> = TimingWheel::new();
         q.schedule(u64::MAX / 2, ());
         let mut now = 0;
         let mut out = Vec::new();

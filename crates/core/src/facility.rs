@@ -1,7 +1,7 @@
 //! The soft-timer facility core: schedule, trigger-state check, backup
 //! sweep, and delay accounting.
 
-use st_wheel::{HashedWheel, TimerQueue};
+use st_wheel::{TimerQueue, TimingWheel};
 
 // `schedule` returns one and `cancel` consumes one, so callers holding a
 // pending timer across calls need the type without depending on st-wheel.
@@ -80,7 +80,7 @@ impl<P> Expired<P> {
 /// All methods take the current measurement-clock tick explicitly, which
 /// keeps the core free of clock plumbing and lets the simulated kernel and
 /// the real-time runtime share it unchanged. The timer store defaults to
-/// the paper's choice — a hashed timing wheel — but any
+/// the paper's choice — a timing wheel — but any
 /// [`TimerQueue`] implementation works.
 ///
 /// The firing rule follows section 3 of the paper exactly: an event
@@ -89,11 +89,13 @@ impl<P> Expired<P> {
 /// `T + 1`"); the periodic backup sweep bounds the actual firing tick to
 /// `S + T < fired_at < S + T + X + 1`.
 #[derive(Debug)]
-pub struct SoftTimerCore<P, Q: TimerQueue<P> = HashedWheel<P>> {
+pub struct SoftTimerCore<P, Q: TimerQueue<P> = TimingWheel<P>> {
     wheel: Q,
-    /// Cached earliest deadline; `None` when no events are pending. May be
-    /// stale-early after a cancel (causing one spurious wheel advance),
-    /// never stale-late.
+    /// Cached earliest deadline, so the not-due check is one comparison;
+    /// `None` when no events are pending. Lowered by `schedule`, re-read
+    /// from the store after every sweep, left alone by `cancel`: it may be
+    /// stale-early after one (causing one sweep that finds nothing, which
+    /// on the wheel is a single find-first-set), never stale-late.
     earliest: Option<u64>,
     config: Config,
     stats: FacilityStats,
@@ -105,9 +107,9 @@ pub struct SoftTimerCore<P, Q: TimerQueue<P> = HashedWheel<P>> {
 }
 
 impl<P> SoftTimerCore<P> {
-    /// Creates an empty facility over the default hashed timing wheel.
+    /// Creates an empty facility over the default timing wheel.
     pub fn new(config: Config) -> Self {
-        SoftTimerCore::with_queue(config, HashedWheel::new())
+        SoftTimerCore::with_queue(config, TimingWheel::new())
     }
 }
 
@@ -208,8 +210,8 @@ impl<P, Q: TimerQueue<P>> SoftTimerCore<P, Q> {
             self.stats.canceled += 1;
             st_trace::count("facility.canceled", 1);
             // `earliest` may now be stale-early; leave it — the next check
-            // at that tick performs one wheel advance that finds nothing
-            // and refreshes the cache.
+            // at that tick performs one store advance that finds nothing
+            // (the wheel looks at no bucket for it) and refreshes the cache.
         }
         p
     }
@@ -310,7 +312,9 @@ impl<P, Q: TimerQueue<P>> SoftTimerCore<P, Q> {
         }
         // Return the (drained) buffer so its capacity is reused next sweep.
         self.scratch = due;
-        // Refresh the earliest-deadline cache.
+        // Refresh the earliest-deadline cache: exact on every store (a
+        // canceled timer never shows), and on the wheel two find-first-set
+        // steps plus a minimum over the one bucket they select.
         self.earliest = self.wheel.next_deadline();
         fired
     }
@@ -470,7 +474,7 @@ mod tests {
 
     #[test]
     fn pinned_clock_at_end_of_time_keeps_firing() {
-        pinned_clock_at_end_of_time(HashedWheel::new());
+        pinned_clock_at_end_of_time(TimingWheel::new());
         pinned_clock_at_end_of_time(st_wheel::HeapQueue::new());
     }
 

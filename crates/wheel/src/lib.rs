@@ -4,16 +4,19 @@
 //! timing wheels" (section 3, footnote 2), citing Varghese & Lauck. This
 //! crate implements that structure plus the reference it is tested against:
 //!
-//! - [`HashedWheel`] — deadline hashed modulo the slot count, unsorted
-//!   per-slot lists (scheme 6) — `O(1)` insert, amortized `O(1)` expiry at
-//!   soft-timer densities. The facility's store.
+//! - [`TimingWheel`] — eleven levels of 64 buckets covering every `u64`
+//!   tick (Varghese & Lauck scheme 7), an occupancy bitmap per level and
+//!   intrusive bucket lists: `O(1)` insert, `O(1)` cancel by unlinking,
+//!   find-first-set for the earliest deadline, and an expiry that visits
+//!   only the occupied buckets it crosses. The facility's store.
 //! - [`HeapQueue`] — binary-heap timer queue (`O(log n)` insert/expire), the
 //!   oracle the wheel must agree with and the baseline it is benchmarked
 //!   against.
 //!
 //! Both share the [`TimerQueue`] trait, carry generic payloads, support
-//! `O(1)` cancelation through generation-checked [`TimerHandle`]s, and fire
-//! events in deadline order (FIFO among equal deadlines) so they are
+//! `O(1)` cancelation through generation-checked [`TimerHandle`]s (the
+//! wheel unlinks at once, the heap drops the entry when it surfaces), and
+//! fire events in deadline order (FIFO among equal deadlines) so they are
 //! interchangeable inside the facility. Seeded property tests check the
 //! wheel against [`HeapQueue`] on generated op sequences.
 
@@ -26,7 +29,7 @@ pub mod wheel;
 
 pub use heap::HeapQueue;
 pub use slab::TimerHandle;
-pub use wheel::HashedWheel;
+pub use wheel::TimingWheel;
 
 /// A queue of `(deadline_tick, payload)` timers.
 ///
@@ -52,10 +55,12 @@ pub trait TimerQueue<P> {
     /// Panics if `now` is smaller than a previously passed tick.
     fn advance(&mut self, now: u64, out: &mut Vec<(u64, P)>);
 
-    /// Earliest pending deadline, or `None` when empty.
+    /// Earliest pending deadline, or `None` when empty. Exact: a canceled
+    /// timer never shows.
     ///
-    /// May cost a scan of the structure's slots; the facility caches the
-    /// result and only re-queries after expiry (see `st-core`).
+    /// On [`TimingWheel`] this is two find-first-set steps and a minimum
+    /// over the one bucket they select; the [`HeapQueue`] oracle scans.
+    /// The facility re-queries after every expiry (see `st-core`).
     fn next_deadline(&self) -> Option<u64>;
 
     /// Number of pending (scheduled, not canceled, not expired) timers.

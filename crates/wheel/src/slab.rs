@@ -1,10 +1,14 @@
-//! Generation-checked payload storage shared by all timer structures.
+//! Generation-checked payload storage shared by both timer structures.
 //!
-//! Wheels keep lists of small indices rather than payloads; the payload
-//! and its full deadline live in a slab slot. Cancelation empties the slot
-//! (`O(1)`) and stale list entries are skipped when their slot generation
-//! no longer matches — the classic lazy-deletion scheme, which keeps wheel
-//! slots as plain `Vec<u32>`s.
+//! The queues order small slab indices rather than payloads; the payload
+//! and its full deadline live in a slab slot, and a handle is the slot's
+//! index plus the generation it was issued under, so a stale handle is
+//! rejected in `O(1)`. Each slot also carries a per-queue link field `L`:
+//! the wheel threads its bucket lists through it (prev/next/bucket), so a
+//! cancel unlinks the entry on the spot and nothing stale is ever left in
+//! a list. The heap leaves `L` empty and alone keeps lazy deletion: a
+//! canceled entry stays in the heap and is skipped at pop time because its
+//! generation no longer matches.
 
 /// Opaque handle to a scheduled timer, valid across any [`crate::TimerQueue`]
 /// implementation that issued it.
@@ -15,27 +19,29 @@ pub struct TimerHandle {
 }
 
 #[derive(Debug)]
-pub(crate) struct Slot<P> {
-    pub(crate) generation: u32,
-    pub(crate) state: SlotState<P>,
+struct Slot<P, L> {
+    generation: u32,
+    /// Owned by the queue; meaningful only while the slot is occupied.
+    links: L,
+    state: SlotState<P>,
 }
 
 #[derive(Debug)]
-pub(crate) enum SlotState<P> {
+enum SlotState<P> {
     Free { next_free: Option<u32> },
     Occupied { deadline: u64, seq: u64, payload: P },
 }
 
 /// Slab of timer slots with an intrusive free list.
 #[derive(Debug)]
-pub(crate) struct TimerSlab<P> {
-    slots: Vec<Slot<P>>,
+pub(crate) struct TimerSlab<P, L = ()> {
+    slots: Vec<Slot<P, L>>,
     free_head: Option<u32>,
     live: usize,
     next_seq: u64,
 }
 
-impl<P> TimerSlab<P> {
+impl<P, L: Default> TimerSlab<P, L> {
     pub(crate) fn new() -> Self {
         TimerSlab {
             slots: Vec::new(),
@@ -79,6 +85,7 @@ impl<P> TimerSlab<P> {
                 let idx = u32::try_from(self.slots.len()).expect("timer slab exceeds u32 slots");
                 self.slots.push(Slot {
                     generation: 0,
+                    links: L::default(),
                     state: SlotState::Occupied {
                         deadline,
                         seq,
@@ -95,10 +102,21 @@ impl<P> TimerSlab<P> {
 
     /// Removes the payload behind `handle` if it is still current.
     pub(crate) fn remove(&mut self, handle: TimerHandle) -> Option<(u64, u64, P)> {
-        let slot = self.slots.get_mut(handle.index as usize)?;
-        if slot.generation != handle.generation {
+        if self.slots.get(handle.index as usize)?.generation != handle.generation {
             return None;
         }
+        self.take(handle.index)
+    }
+
+    /// Removes by raw index when the stored generation matches `generation`.
+    pub(crate) fn remove_index(&mut self, index: u32, generation: u32) -> Option<(u64, u64, P)> {
+        self.remove(TimerHandle { index, generation })
+    }
+
+    /// Removes whatever is live at `index`: for a queue whose lists hold
+    /// live entries only, so the generation has nothing left to tell it.
+    pub(crate) fn take(&mut self, index: u32) -> Option<(u64, u64, P)> {
+        let slot = self.slots.get_mut(index as usize)?;
         if matches!(slot.state, SlotState::Free { .. }) {
             return None;
         }
@@ -109,7 +127,7 @@ impl<P> TimerSlab<P> {
             },
         );
         slot.generation = slot.generation.wrapping_add(1);
-        self.free_head = Some(handle.index);
+        self.free_head = Some(index);
         self.live -= 1;
         match state {
             SlotState::Occupied {
@@ -121,25 +139,34 @@ impl<P> TimerSlab<P> {
         }
     }
 
-    /// Removes by raw index when the stored generation matches `generation`.
-    pub(crate) fn remove_index(&mut self, index: u32, generation: u32) -> Option<(u64, u64, P)> {
-        self.remove(TimerHandle { index, generation })
-    }
-
     /// The deadline stored at `index` when live under `generation`.
     pub(crate) fn deadline_of(&self, index: u32, generation: u32) -> Option<u64> {
-        let slot = self.slots.get(index as usize)?;
-        if slot.generation != generation {
+        if self.slots.get(index as usize)?.generation != generation {
             return None;
         }
-        match slot.state {
+        self.deadline_at(index)
+    }
+
+    /// The deadline of whatever is live at `index`.
+    pub(crate) fn deadline_at(&self, index: u32) -> Option<u64> {
+        match self.slots.get(index as usize)?.state {
             SlotState::Occupied { deadline, .. } => Some(deadline),
             SlotState::Free { .. } => None,
         }
     }
+
+    /// The queue's link field of slot `index` (which must have been issued).
+    pub(crate) fn links(&self, index: u32) -> &L {
+        &self.slots[index as usize].links
+    }
+
+    /// Mutable access to the link field of slot `index`.
+    pub(crate) fn links_mut(&mut self, index: u32) -> &mut L {
+        &mut self.slots[index as usize].links
+    }
 }
 
-/// A wheel-slot entry: slab index plus the generation at insert time.
+/// A heap entry: slab index plus the generation at insert time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Entry {
     pub(crate) index: u32,

@@ -1,102 +1,207 @@
-//! The hashed timing wheel (Varghese & Lauck scheme 6).
+//! The timing wheel: hierarchical, bit-mapped, on intrusive lists.
 
-use crate::slab::{Entry, TimerSlab};
+use crate::slab::TimerSlab;
 use crate::{TimerHandle, TimerQueue};
 
-fn drain_sorted<P>(due: &mut Vec<(u64, u64, P)>, out: &mut Vec<(u64, P)>) {
-    due.sort_by_key(|&(d, s, _)| (d, s));
-    out.extend(due.drain(..).map(|(d, _, p)| (d, p)));
+/// Wheel levels: level `k` files a deadline by bits `6k .. 6k + 6`, so
+/// eleven levels cover all 64 bits (the top level uses 16 of its slots).
+const LEVELS: usize = 11;
+/// Bits of a deadline one level consumes.
+const SLOT_BITS: u32 = 6;
+/// Slots per level.
+const SLOTS: u16 = 1 << SLOT_BITS;
+const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+/// Bucket rows: row 0 is the past-due list (only its slot 0 is used), row
+/// `k + 1` is wheel level `k`. A lower bucket number means earlier
+/// deadlines, so one find-first-set over rows and slots gives the
+/// earliest occupied bucket whichever kind it is.
+const ROWS: usize = LEVELS + 1;
+/// Where a deadline at or before `now` parks until the next `advance`.
+const PAST_DUE: u16 = 0;
+/// First bucket of wheel level 1: below it a bucket holds one deadline.
+const LEVEL_1: u16 = 2 * SLOTS;
+/// End of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// An entry's place in its bucket's doubly-linked list. `link` writes all
+/// of it before anything reads it, so the default is never seen.
+#[derive(Debug, Clone, Copy, Default)]
+struct Links {
+    prev: u32,
+    next: u32,
+    bucket: u16,
 }
 
-/// Hashed timing wheel: deadlines hash into `slots` by modulo, each slot an
-/// unsorted list checked against the full deadline (scheme 6).
+/// The bucket `deadline` belongs to while the wheel stands at
+/// `now < deadline`: the level is the one holding the highest bit in which
+/// the two differ, the slot is the deadline's digit on that level. The
+/// deadline's digit there exceeds `now`'s, so no bucket ever wraps, and
+/// every entry of level `k` precedes every entry of level `k + 1`.
+fn bucket_for(now: u64, deadline: u64) -> u16 {
+    let level = (63 - ((now ^ deadline) | SLOT_MASK).leading_zeros()) / SLOT_BITS;
+    let slot = (deadline >> (level * SLOT_BITS)) & SLOT_MASK;
+    // At most row 11, slot 63: always converts.
+    u16::try_from((u64::from(level) + 1) << SLOT_BITS | slot).unwrap_or(PAST_DUE)
+}
+
+/// First and last tick of wheel bucket `bucket` while the wheel stands at
+/// `now`.
+fn span(now: u64, bucket: u16) -> (u64, u64) {
+    let shift = u32::from(bucket / SLOTS - 1) * SLOT_BITS;
+    // The top level's digit reaches past bit 63: nothing above it to keep.
+    let above = u64::MAX.checked_shl(shift + SLOT_BITS).unwrap_or(0);
+    let start = (now & above) | (u64::from(bucket % SLOTS) << shift);
+    (start, start | ((1 << shift) - 1))
+}
+
+/// Hierarchical timing wheel: eleven levels of 64 buckets, a `u64`
+/// occupancy word per level and a `u16` word of non-empty levels, each
+/// bucket an intrusive doubly-linked list through the timer slab.
 ///
-/// There is no horizon: a deadline arbitrarily far out parks in its slot
-/// and survives as many cursor rotations as needed.
+/// `schedule` and `cancel` are `O(1)` (a cancel unlinks its entry on the
+/// spot; nothing stale stays behind), `next_deadline` is two
+/// find-first-set steps plus a minimum over the one bucket they select,
+/// and `advance` visits only the occupied buckets that begin at or before
+/// the new tick — it fires their due entries and files the rest one or
+/// more levels down. There is no horizon: any `u64` deadline has a bucket.
 /// This is the structure the paper's facility is described as using.
 ///
 /// # Examples
 ///
 /// ```
-/// use st_wheel::{HashedWheel, TimerQueue};
+/// use st_wheel::{TimerQueue, TimingWheel};
 ///
-/// let mut w = HashedWheel::with_slots(256);
+/// let mut w = TimingWheel::new();
 /// w.schedule(10, 'a');
-/// w.schedule(10 + 256, 'b'); // same slot, next rotation
+/// w.schedule(10 + 4096, 'b'); // two levels up
+/// assert_eq!(w.next_deadline(), Some(10));
 /// let mut out = Vec::new();
 /// w.advance(20, &mut out);
 /// assert_eq!(out, vec![(10, 'a')]);
 /// out.clear();
-/// w.advance(300, &mut out);
-/// assert_eq!(out, vec![(266, 'b')]);
+/// w.advance(5000, &mut out);
+/// assert_eq!(out, vec![(4106, 'b')]);
 /// ```
 #[derive(Debug)]
-pub struct HashedWheel<P> {
-    slots: Vec<Vec<Entry>>,
-    mask: u64,
-    past_due: Vec<Entry>,
+pub struct TimingWheel<P> {
+    slab: TimerSlab<P, Links>,
+    /// Head of each bucket's list, `NIL` when empty.
+    heads: Box<[u32; ROWS << SLOT_BITS]>,
+    /// Per row, bit `s` set exactly when bucket `s` of the row is non-empty.
+    occupied: [u64; ROWS],
+    /// Bit `r` set exactly when `occupied[r]` is non-zero.
+    rows: u16,
+    now: u64,
     /// Reusable sweep buffer; keeps `advance` allocation-free once warm.
     sweep: Vec<(u64, u64, P)>,
-    slab: TimerSlab<P>,
-    now: u64,
 }
 
-impl<P> HashedWheel<P> {
-    /// Creates a wheel with `slots` slots (rounded up to a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slots` is zero.
-    pub fn with_slots(slots: usize) -> Self {
-        assert!(slots > 0, "slot count must be positive");
-        let n = slots.next_power_of_two();
-        HashedWheel {
-            slots: (0..n).map(|_| Vec::new()).collect(),
-            mask: n as u64 - 1,
-            past_due: Vec::new(),
-            sweep: Vec::new(),
+impl<P> TimingWheel<P> {
+    /// Creates an empty wheel at tick 0.
+    pub fn new() -> Self {
+        TimingWheel {
             slab: TimerSlab::new(),
+            heads: Box::new([NIL; ROWS << SLOT_BITS]),
+            occupied: [0; ROWS],
+            rows: 0,
             now: 0,
+            sweep: Vec::new(),
         }
     }
 
-    /// Creates the facility's default geometry (4096 slots).
-    pub fn new() -> Self {
-        HashedWheel::with_slots(4096)
+    /// The earliest occupied bucket, past-due list included.
+    fn first_bucket(&self) -> Option<u16> {
+        // An empty wheel has no row 16.
+        let row = u16::try_from(self.rows.trailing_zeros()).ok()?;
+        let word = self.occupied.get(usize::from(row))?;
+        u16::try_from(word.trailing_zeros())
+            .ok()
+            .map(|slot| row * SLOTS + slot)
     }
 
-    /// Number of slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
+    /// Pushes slab entry `index` onto the bucket `deadline` selects.
+    fn link(&mut self, index: u32, deadline: u64) {
+        let bucket = if deadline <= self.now {
+            PAST_DUE
+        } else {
+            bucket_for(self.now, deadline)
+        };
+        let head = std::mem::replace(&mut self.heads[usize::from(bucket)], index);
+        *self.slab.links_mut(index) = Links {
+            prev: NIL,
+            next: head,
+            bucket,
+        };
+        if head != NIL {
+            self.slab.links_mut(head).prev = index;
+        }
+        self.occupied[usize::from(bucket / SLOTS)] |= 1 << (bucket % SLOTS);
+        self.rows |= 1 << (bucket / SLOTS);
+    }
+
+    /// Records that `bucket`'s list has emptied.
+    fn mark_empty(&mut self, bucket: u16) {
+        let word = &mut self.occupied[usize::from(bucket / SLOTS)];
+        *word &= !(1 << (bucket % SLOTS));
+        if *word == 0 {
+            self.rows &= !(1 << (bucket / SLOTS));
+        }
+    }
+
+    /// Empties `bucket`: entries due at `now` go to `due` in
+    /// `(deadline, seq)` order, the rest are filed again from where the
+    /// wheel stands.
+    fn drain(&mut self, bucket: u16, now: u64, due: &mut Vec<(u64, u64, P)>) {
+        let from = due.len();
+        let mut cursor = std::mem::replace(&mut self.heads[usize::from(bucket)], NIL);
+        self.mark_empty(bucket);
+        while cursor != NIL {
+            let index = cursor;
+            cursor = self.slab.links(index).next;
+            let Some(deadline) = self.slab.deadline_at(index) else {
+                unreachable!("bucket list links a free slab slot");
+            };
+            if deadline > now {
+                self.link(index, deadline);
+            } else if let Some(fired) = self.slab.take(index) {
+                due.push(fired);
+            }
+        }
+        // Keys are unique, so the unstable sort is the stable one without
+        // its scratch allocation.
+        due[from..].sort_unstable_by_key(|&(deadline, seq, _)| (deadline, seq));
     }
 }
 
-impl<P> Default for HashedWheel<P> {
+impl<P> Default for TimingWheel<P> {
     fn default() -> Self {
-        HashedWheel::new()
+        TimingWheel::new()
     }
 }
 
-impl<P> TimerQueue<P> for HashedWheel<P> {
+impl<P> TimerQueue<P> for TimingWheel<P> {
     fn schedule(&mut self, deadline: u64, payload: P) -> TimerHandle {
         let handle = self.slab.insert(deadline, payload);
-        let entry = Entry {
-            index: handle.index,
-            generation: handle.generation,
-        };
-        if deadline <= self.now {
-            self.past_due.push(entry);
-        } else {
-            // st-lint: allow(no-silent-cast) -- masked to the power-of-two
-            // slot count, so it always fits a usize index
-            let idx = (deadline & self.mask) as usize;
-            self.slots[idx].push(entry);
-        }
+        self.link(handle.index, deadline);
         handle
     }
 
     fn cancel(&mut self, handle: TimerHandle) -> Option<P> {
-        self.slab.remove(handle).map(|(_, _, p)| p)
+        let (_, _, payload) = self.slab.remove(handle)?;
+        // The freed slot keeps its links until it is issued again.
+        let Links { prev, next, bucket } = *self.slab.links(handle.index);
+        if next != NIL {
+            self.slab.links_mut(next).prev = prev;
+        }
+        if prev != NIL {
+            self.slab.links_mut(prev).next = next;
+        } else {
+            self.heads[usize::from(bucket)] = next;
+            if next == NIL {
+                self.mark_empty(bucket);
+            }
+        }
+        Some(payload)
     }
 
     fn advance(&mut self, now: u64, out: &mut Vec<(u64, P)>) {
@@ -106,77 +211,41 @@ impl<P> TimerQueue<P> for HashedWheel<P> {
             self.now
         );
         let mut due = std::mem::take(&mut self.sweep);
-
-        let past = std::mem::take(&mut self.past_due);
-        for entry in past {
-            if let Some((d, s, p)) = self.slab.remove_index(entry.index, entry.generation) {
-                due.push((d, s, p));
+        // Buckets come up in time order and their spans do not overlap, so
+        // each one's due entries, sorted among themselves, follow the last
+        // one's: the batch ends up sorted without a pass over all of it.
+        while let Some(bucket) = self.first_bucket() {
+            if bucket != PAST_DUE {
+                let (start, last) = span(self.now, bucket);
+                if start > now {
+                    break;
+                }
+                // Every earlier bucket is empty, so the wheel may stand
+                // anywhere up to this one: at `now` when that falls inside
+                // it, which files the survivors at their final level in
+                // one pass, else at its last tick, where all of it is due.
+                self.now = now.min(last);
             }
-        }
-
-        let slots = self.slots.len() as u64;
-        let jump = now - self.now;
-        let visit = |slot: &mut Vec<Entry>,
-                     slab: &mut TimerSlab<P>,
-                     due: &mut Vec<(u64, u64, P)>| {
-            slot.retain(
-                |entry| match slab.deadline_of(entry.index, entry.generation) {
-                    None => false,
-                    Some(d) if d <= now => {
-                        if let Some((dd, s, p)) = slab.remove_index(entry.index, entry.generation) {
-                            due.push((dd, s, p));
-                        }
-                        false
-                    }
-                    Some(_) => true,
-                },
-            );
-        };
-        if jump >= slots {
-            for i in 0..self.slots.len() {
-                let mut slot = std::mem::take(&mut self.slots[i]);
-                visit(&mut slot, &mut self.slab, &mut due);
-                self.slots[i] = slot;
-            }
-        } else {
-            // Visits ticks `self.now + 1 ..= now` as `tick_before + 1`, which
-            // cannot overflow because `tick_before < now`; `self.now + 1`
-            // does once the wheel has been advanced to `u64::MAX`.
-            for tick_before in self.now..now {
-                // st-lint: allow(no-silent-cast) -- masked to the
-                // power-of-two slot count, so it always fits a usize index
-                let idx = ((tick_before + 1) & self.mask) as usize;
-                let mut slot = std::mem::take(&mut self.slots[idx]);
-                visit(&mut slot, &mut self.slab, &mut due);
-                self.slots[idx] = slot;
-            }
+            self.drain(bucket, now, &mut due);
         }
         self.now = now;
-        drain_sorted(&mut due, out);
+        out.extend(due.drain(..).map(|(deadline, _, p)| (deadline, p)));
         self.sweep = due;
     }
 
     fn next_deadline(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        let mut consider = |d: u64| {
-            min = Some(match min {
-                Some(m) => m.min(d),
-                None => d,
-            });
-        };
-        for entry in &self.past_due {
-            if let Some(d) = self.slab.deadline_of(entry.index, entry.generation) {
-                consider(d);
+        let bucket = self.first_bucket()?;
+        let mut cursor = self.heads[usize::from(bucket)];
+        let mut min = self.slab.deadline_at(cursor)?;
+        // A level-0 bucket holds one deadline; any other, and the
+        // past-due list, is searched.
+        if bucket == PAST_DUE || bucket >= LEVEL_1 {
+            while cursor != NIL {
+                min = min.min(self.slab.deadline_at(cursor)?);
+                cursor = self.slab.links(cursor).next;
             }
         }
-        for slot in &self.slots {
-            for entry in slot {
-                if let Some(d) = self.slab.deadline_of(entry.index, entry.generation) {
-                    consider(d);
-                }
-            }
-        }
-        min
+        Some(min)
     }
 
     fn len(&self) -> usize {
@@ -187,41 +256,185 @@ impl<P> TimerQueue<P> for HashedWheel<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HeapQueue;
+    use st_sim::SimRng;
 
-    #[test]
-    fn hashed_wheel_rotations() {
-        let mut w = HashedWheel::with_slots(16);
-        w.schedule(5, 'a');
-        w.schedule(5 + 16, 'b');
-        w.schedule(5 + 32, 'c');
-        let mut out = Vec::new();
-        w.advance(6, &mut out);
-        assert_eq!(out, vec![(5, 'a')]);
-        out.clear();
-        w.advance(40, &mut out);
-        assert_eq!(out, vec![(21, 'b'), (37, 'c')]);
+    impl<P> TimingWheel<P> {
+        /// The invariants every operation must leave behind.
+        fn assert_structure(&self) {
+            let mut linked = 0;
+            for (b, &head) in self.heads.iter().enumerate() {
+                let bucket = u16::try_from(b).unwrap();
+                let bit = self.occupied[b / 64] >> (b % 64) & 1 == 1;
+                assert_eq!(
+                    bit,
+                    head != NIL,
+                    "bucket {b}: bit without list or list without bit"
+                );
+                let (mut prev, mut cursor) = (NIL, head);
+                while cursor != NIL {
+                    let links = *self.slab.links(cursor);
+                    assert_eq!(links.prev, prev, "bucket {b}: prev does not mirror next");
+                    assert_eq!(links.bucket, bucket, "entry records another bucket");
+                    let deadline = self.slab.deadline_at(cursor).expect("linked entry is live");
+                    let home = if deadline <= self.now {
+                        PAST_DUE
+                    } else {
+                        bucket_for(self.now, deadline)
+                    };
+                    assert_eq!(bucket, home, "deadline {deadline} at now {}", self.now);
+                    linked += 1;
+                    (prev, cursor) = (cursor, links.next);
+                }
+            }
+            for (row, &word) in self.occupied.iter().enumerate() {
+                assert_eq!(
+                    self.rows >> row & 1 == 1,
+                    word != 0,
+                    "row {row} word and bit"
+                );
+            }
+            assert_eq!(linked, self.len(), "linked entries and len()");
+        }
+    }
+
+    /// A wheel and the heap oracle driven in lockstep, structure and
+    /// observable state compared after every operation.
+    struct Pair {
+        wheel: TimingWheel<u64>,
+        heap: HeapQueue<u64>,
+        handles: Vec<(TimerHandle, TimerHandle)>,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            Pair {
+                wheel: TimingWheel::new(),
+                heap: HeapQueue::new(),
+                handles: Vec::new(),
+            }
+        }
+
+        fn check(&self) {
+            self.wheel.assert_structure();
+            assert_eq!(self.wheel.len(), self.heap.len());
+            assert_eq!(self.wheel.next_deadline(), self.heap.next_deadline());
+        }
+
+        fn schedule(&mut self, deadline: u64) -> usize {
+            let payload = self.handles.len() as u64;
+            self.handles.push((
+                self.wheel.schedule(deadline, payload),
+                self.heap.schedule(deadline, payload),
+            ));
+            self.check();
+            self.handles.len() - 1
+        }
+
+        fn cancel(&mut self, nth: usize) {
+            let (w, h) = self.handles[nth];
+            assert_eq!(self.wheel.cancel(w), self.heap.cancel(h));
+            self.check();
+        }
+
+        fn advance(&mut self, now: u64) -> Vec<(u64, u64)> {
+            let (mut fired, mut expect) = (Vec::new(), Vec::new());
+            self.wheel.advance(now, &mut fired);
+            self.heap.advance(now, &mut expect);
+            assert_eq!(fired, expect, "advance to {now}");
+            self.check();
+            fired
+        }
     }
 
     #[test]
-    fn hashed_wheel_rounds_slots_to_power_of_two() {
-        let w: HashedWheel<()> = HashedWheel::with_slots(1000);
-        assert_eq!(w.slot_count(), 1024);
+    fn structure_holds_under_a_seeded_op_stream() {
+        let mut rng = SimRng::seed(0x13);
+        // Deltas up to 64^k ticks exercise levels 0..k; the last regime
+        // starts near the end of time.
+        for (span, start) in [
+            (64, 0),
+            (4096, 0),
+            (262_144, 1000),
+            (1 << 36, 0),
+            (1 << 20, u64::MAX - (1 << 21)),
+        ] {
+            let mut pair = Pair::new();
+            let mut now = start;
+            pair.advance(now);
+            for _ in 0..400 {
+                match rng.range_u64(0, 8) {
+                    0..=3 => {
+                        pair.schedule(now.saturating_add(rng.range_u64(0, span)));
+                    }
+                    4 => {
+                        pair.schedule(now.saturating_sub(rng.range_u64(0, span)));
+                    }
+                    5 if !pair.handles.is_empty() => {
+                        pair.cancel(rng.index(pair.handles.len()));
+                    }
+                    _ => {
+                        now = now.saturating_add(rng.range_u64(0, span / 2));
+                        pair.advance(now);
+                    }
+                }
+            }
+            pair.advance(u64::MAX);
+            assert!(pair.wheel.is_empty());
+        }
     }
 
     #[test]
-    fn hashed_wheel_next_deadline() {
-        let mut w = HashedWheel::with_slots(8);
-        assert_eq!(w.next_deadline(), None);
-        let h = w.schedule(9, ());
-        w.schedule(17, ());
-        assert_eq!(w.next_deadline(), Some(9));
-        w.cancel(h);
-        assert_eq!(w.next_deadline(), Some(17));
+    fn level_boundaries_match_heap() {
+        for k in 1..=10 {
+            let edge = 1u64 << (6 * k);
+            let deadlines = [edge - 1, edge, edge + 1, u64::MAX];
+            let mut stops = vec![edge - 2, edge - 1, edge, edge + 1, edge + 2];
+            stops.extend([u64::MAX - 1, u64::MAX]);
+            // Step through every stop in turn...
+            let mut pair = Pair::new();
+            for d in deadlines {
+                pair.schedule(d);
+            }
+            let fired: usize = stops.iter().map(|&t| pair.advance(t).len()).sum();
+            assert_eq!(fired, deadlines.len(), "level {k}");
+            // ...and jump to each one straight from tick 0.
+            for &stop in &stops {
+                let mut pair = Pair::new();
+                for d in deadlines {
+                    pair.schedule(d);
+                }
+                pair.advance(stop);
+            }
+        }
+    }
+
+    #[test]
+    fn cancel_unlinks_head_middle_tail_and_past_due() {
+        // Ticks 100..103 share level 1's second bucket; the list runs from
+        // the last scheduled to the first.
+        for victim in 0..3 {
+            let mut pair = Pair::new();
+            let ids = [100, 101, 102].map(|d| pair.schedule(d));
+            pair.cancel(ids[victim]);
+            pair.cancel(ids[victim]); // a second cancel finds nothing
+            assert_eq!(pair.advance(200).len(), 2);
+        }
+        let mut pair = Pair::new();
+        pair.advance(50);
+        let parked = [10, 20, 30].map(|d| pair.schedule(d));
+        pair.cancel(parked[0]);
+        assert_eq!(pair.wheel.next_deadline(), Some(20));
+        assert_eq!(pair.advance(50), vec![(20, 1), (30, 2)]);
+        // The last entry out clears the bucket's bit.
+        let only = pair.schedule(500);
+        pair.cancel(only);
+        assert_eq!(pair.wheel.rows, 0);
     }
 
     #[test]
     fn fifo_among_equal_deadlines() {
-        let mut w = HashedWheel::with_slots(8);
+        let mut w = TimingWheel::new();
         for i in 0..4 {
             w.schedule(3, i);
         }
@@ -232,8 +445,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "time went backwards")]
-    fn hashed_wheel_rejects_regression() {
-        let mut w: HashedWheel<()> = HashedWheel::with_slots(4);
+    fn rejects_regression() {
+        let mut w: TimingWheel<()> = TimingWheel::new();
         let mut out = Vec::new();
         w.advance(5, &mut out);
         w.advance(4, &mut out);

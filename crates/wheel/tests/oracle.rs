@@ -7,7 +7,7 @@
 //! network access.
 
 use st_sim::SimRng;
-use st_wheel::{HashedWheel, HeapQueue, TimerQueue};
+use st_wheel::{HeapQueue, TimerQueue, TimingWheel};
 
 /// An operation in a random timer workload. All tick arithmetic
 /// saturates: a case may run at the end of time.
@@ -32,8 +32,9 @@ enum Deadline {
     FromEnd(u64),
 }
 
-/// Slot count of `HashedWheel::new()`, the geometry every embedding runs.
-const DEFAULT_SLOTS: u64 = 4096;
+/// How close to `u64::MAX` the end-of-time deadlines and opening jumps
+/// land: within a few level-1 buckets of it.
+const NEAR_END: u64 = 3 * 4096;
 
 /// How far ahead a case schedules and how far it jumps, in ticks.
 #[derive(Debug, Clone, Copy)]
@@ -42,23 +43,36 @@ struct Spans {
     advance: u64,
 }
 
-const SPANS: [Spans; 3] = [
-    // The facility at 1 µs ticks: events tens to thousands of ticks out.
+/// One regime per stretch of wheel levels (a level is 6 bits of the
+/// deadline, so level `k` begins at 64^k ticks out).
+const SPANS: [Spans; 5] = [
+    // Level 0 alone: everything within one 64-tick turn.
     Spans {
-        schedule: 5000,
+        schedule: 64,
+        advance: 24,
+    },
+    // Levels 0-1, the facility at 1 µs ticks: events tens to thousands of
+    // ticks out, polls that cross many level-0 buckets.
+    Spans {
+        schedule: 4096,
         advance: 2000,
     },
-    // Deltas spanning many rotations of the default geometry, crossed in
-    // small steps: entries must survive every pass over their slot.
+    // Levels 0-2 crossed in small steps: an entry is filed again on each
+    // level on its way down.
     Spans {
-        schedule: 64 * DEFAULT_SLOTS,
+        schedule: 262_144,
         advance: 2000,
     },
     // What the host runtime feeds the wheel at 1 GHz ticks: ms-scale
-    // deltas and jumps that exceed the slot count.
+    // deltas (level 3) and jumps that swallow whole level-2 buckets.
     Spans {
         schedule: 2_000_000,
         advance: 1_000_000,
+    },
+    // Levels 6 and up: at least 2^36 ticks out, jumps of up to 2^34.
+    Spans {
+        schedule: 1 << 40,
+        advance: 1 << 34,
     },
 ];
 
@@ -69,7 +83,7 @@ fn random_op(rng: &mut SimRng, spans: Spans) -> Op {
         0..=3 => Op::Schedule {
             deadline: match rng.range_u64(0, 8) {
                 0 => Deadline::Behind(rng.range_u64(0, spans.schedule)),
-                1 => Deadline::FromEnd(rng.range_u64(0, DEFAULT_SLOTS)),
+                1 => Deadline::FromEnd(rng.range_u64(0, NEAR_END)),
                 _ => Deadline::Ahead(rng.range_u64(0, spans.schedule)),
             },
         },
@@ -83,14 +97,14 @@ fn random_op(rng: &mut SimRng, spans: Spans) -> Op {
 }
 
 /// One case: a span regime, and one case in four opens with a jump to
-/// within a few default rotations of `u64::MAX` so the rest of it runs
-/// against the end of time.
+/// within [`NEAR_END`] of `u64::MAX` so the rest of it runs against the
+/// end of time.
 fn random_ops(rng: &mut SimRng) -> Vec<Op> {
     let spans = SPANS[rng.index(SPANS.len())];
     let mut ops = Vec::new();
     if rng.range_u64(0, 4) == 0 {
         ops.push(Op::Advance {
-            delta: u64::MAX - rng.range_u64(0, 3 * DEFAULT_SLOTS),
+            delta: u64::MAX - rng.range_u64(0, NEAR_END),
         });
     }
     ops.extend((0..rng.range_u64(1, 120)).map(|_| random_op(rng, spans)));
@@ -171,20 +185,10 @@ fn run_cases<Q: TimerQueue<u64>>(seed: u64, make: impl Fn() -> Q) {
 }
 
 #[test]
-fn default_hashed_wheel_matches_heap() {
-    run_cases(0x51, HashedWheel::new);
-}
-
-#[test]
-fn hashed_wheel_matches_heap() {
-    run_cases(0x53, || HashedWheel::with_slots(64));
-}
-
-#[test]
-fn tiny_hashed_wheel_matches_heap() {
-    // One-slot wheel degenerates to a single unsorted list; still must
-    // behave identically.
-    run_cases(0x54, || HashedWheel::with_slots(1));
+fn timing_wheel_matches_heap() {
+    for seed in [0x51, 0x53, 0x54] {
+        run_cases(seed, TimingWheel::new);
+    }
 }
 
 #[test]
@@ -203,6 +207,5 @@ fn end_of_time_rearm_matches_heap() {
         Op::Advance { delta: 0 },
         Op::Advance { delta: 0 },
     ];
-    check_against_oracle(HashedWheel::new(), &ops);
-    check_against_oracle(HashedWheel::with_slots(1), &ops);
+    check_against_oracle(TimingWheel::new(), &ops);
 }

@@ -5,7 +5,7 @@
 use soft_timers::core::facility::{Config, Expired, SoftTimerCore, TimerHandle};
 use soft_timers::sim::SimRng;
 use soft_timers::stats::Samples;
-use soft_timers::wheel::{HashedWheel, HeapQueue};
+use soft_timers::wheel::{HeapQueue, TimingWheel};
 use soft_timers::workloads::{TriggerStream, WorkloadId};
 
 /// Drives a facility with a workload's trigger stream plus the 1 kHz
@@ -65,7 +65,7 @@ fn idle_like_workloads_give_microsecond_delays() {
 
 /// The two facilities under differential test, fed the same calls.
 struct Pair {
-    wheel: SoftTimerCore<usize, HashedWheel<usize>>,
+    wheel: SoftTimerCore<usize, TimingWheel<usize>>,
     heap: SoftTimerCore<usize, HeapQueue<usize>>,
     wheel_fired: Vec<Expired<usize>>,
     heap_fired: Vec<Expired<usize>>,
@@ -83,14 +83,43 @@ impl Pair {
     }
 }
 
+/// The tick scale a differential case runs at. Ranges are `[lo, hi)`.
+struct Regime {
+    measure_hz: u64,
+    /// Usual gap between two trigger states, in ticks.
+    gap: (u64, u64),
+    /// Event deltas, in ticks.
+    delta: (u64, u64),
+}
+
+/// The simulated kernel: 1 µs ticks, trigger states tens of ticks apart,
+/// deltas that reach the wheel's third level.
+const SIM_SCALE: Regime = Regime {
+    measure_hz: 1_000_000,
+    gap: (1, 120),
+    delta: (0, 10_000),
+};
+
+/// The host runtime: 1 GHz ticks, deltas of 100 µs - 2 ms and polls
+/// 0.5 - 1 000 µs apart, so one poll swallows whole upper-level buckets
+/// and the survivors are filed again further down.
+const HOST_SCALE: Regime = Regime {
+    measure_hz: 1_000_000_000,
+    gap: (500, 1_000_001),
+    delta: (100_000, 2_000_001),
+};
+
 /// One seeded op stream — schedule / cancel / poll at irregular trigger
 /// states, the backup sweep on its `X`-tick grid, and one check that reads
 /// a regressed clock — through both facilities.
-fn differential_case(rng: &mut SimRng) {
-    let config = Config::default();
+fn differential_case(rng: &mut SimRng, regime: &Regime) {
+    let config = Config {
+        measure_hz: regime.measure_hz,
+        ..Config::default()
+    };
     let x = config.x_ticks();
     let mut pair = Pair {
-        wheel: SoftTimerCore::with_queue(config, HashedWheel::new()),
+        wheel: SoftTimerCore::with_queue(config, TimingWheel::new()),
         heap: SoftTimerCore::with_queue(config, HeapQueue::new()),
         wheel_fired: Vec::new(),
         heap_fired: Vec::new(),
@@ -107,12 +136,12 @@ fn differential_case(rng: &mut SimRng) {
     // Past the last op, keep checking until every deadline has gone by.
     let mut step = 0;
     while step < steps || pair.wheel.pending() > 0 {
-        // Mostly trigger-state gaps of tens of ticks; now and then a
+        // Mostly the regime's usual trigger-state gap; now and then a
         // stretch with none, so the backup sweep does the firing.
         let prev = now;
         now += match rng.range_u64(0, 16) {
             0 => rng.range_u64(1, 3 * x),
-            _ => rng.range_u64(1, 120),
+            _ => rng.range_u64(regime.gap.0, regime.gap.1),
         };
         while next_backup < now {
             pair.interrupt_sweep(next_backup);
@@ -120,9 +149,8 @@ fn differential_case(rng: &mut SimRng) {
         }
         if step < steps {
             match rng.range_u64(0, 8) {
-                // Deltas up to a few rotations of the 4 096-slot wheel.
                 0..=3 => {
-                    let delta = rng.range_u64(0, 10_000);
+                    let delta = rng.range_u64(regime.delta.0, regime.delta.1);
                     let id = s_plus_t.len();
                     s_plus_t.push(now + delta);
                     handles.push((
@@ -171,10 +199,13 @@ fn differential_case(rng: &mut SimRng) {
 fn every_timer_store_gives_identical_fires() {
     // The facility is store-agnostic: the production wheel and the heap
     // oracle must produce the same `Expired` sequence, every event inside
-    // the paper's (S+T, S+T+X+1) window.
-    let mut rng = SimRng::seed(0x57);
-    for _ in 0..64 {
-        differential_case(&mut rng);
+    // the paper's (S+T, S+T+X+1) window — at the simulator's tick scale
+    // and at the host runtime's.
+    for regime in [&SIM_SCALE, &HOST_SCALE] {
+        let mut rng = SimRng::seed(0x57);
+        for _ in 0..64 {
+            differential_case(&mut rng, regime);
+        }
     }
 }
 
