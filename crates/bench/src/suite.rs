@@ -456,6 +456,20 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
         }),
     ));
 
+    // Host fire path: ns per fire of a 1 000-event due batch through
+    // st-rt's real `trigger_check`, one thread. What `host_saturated` in
+    // BENCHMARK.json pays per fire before any lane contends: two lock
+    // holds and two clock reads a batch, the rest per-fire and unshared.
+    // Each sample is one run of the probe (itself a min over batches).
+    out.push(stat("rt.host.batch_dispatch", {
+        let clock = st_rt::NanoClock::new();
+        let mut samples: Vec<f64> = (0..n)
+            .map(|_| st_rt::probe::batch_dispatch_cost(&clock))
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples
+    }));
+
     // st-lint full-workspace pass: lex, parse, symbol tables, call graph,
     // and all three dataflow analyses over every workspace source,
     // pre-read so the number excludes disk I/O. Not a per-event path, but
@@ -664,7 +678,7 @@ mod tests {
     #[test]
     fn smoke_suite_runs_and_serializes_validly() {
         let stats = run_suite(true);
-        assert!(stats.len() >= 16, "suite shrank to {} entries", stats.len());
+        assert!(stats.len() >= 17, "suite shrank to {} entries", stats.len());
         let names: Vec<&str> = stats.iter().map(|s| s.name).collect();
         for expect in [
             "wheel.hashed.schedule_fire_cancel",
@@ -682,6 +696,7 @@ mod tests {
             "scope.delay_attribution",
             "guard.heartbeat_beat",
             "guard.supervisor_scan",
+            "rt.host.batch_dispatch",
             "lint.full_workspace",
         ] {
             assert!(names.contains(&expect), "missing suite entry {expect}");

@@ -19,9 +19,9 @@
 //!   bound collapses to a *predicted* envelope — degraded period plus
 //!   wake-up slack — instead of widening silently; recovery restores
 //!   the configured period;
-//! - panicking handlers are isolated in the dispatcher (`host::dispatch`
-//!   runs them under `catch_unwind`) and poisoned locks recover
-//!   *counted* ([`crate::host::lock_recoveries`]).
+//! - panicking handlers are isolated at the dispatch boundary (the host
+//!   runs each under `catch_unwind`, with no lock held) and poisoned
+//!   locks recover *counted* ([`crate::host::lock_recoveries`]).
 //!
 //! The [`SupervisorCore`] is pure — time in, actions out — so the
 //! `rt_chaos` experiment drives the identical policy code in virtual
@@ -37,8 +37,8 @@ use st_trace::json::ObjectBuilder;
 
 use crate::chaos::{ChaosSchedule, ChaosState, FaultClock};
 use crate::host::{
-    self, backup_loop, finish_report, lock_recoveries, measure_loop, HostConfig, HostReport,
-    LaneCtl, Shared, ThreadOut,
+    backup_loop, finish_report, lock_recoveries, measure_loop, HostConfig, HostReport, LaneCtl,
+    Shared, ThreadOut,
 };
 
 /// A lane's liveness signal: the owning thread stores the current clock
@@ -589,7 +589,7 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
                                     .backup_period_ns
                                     .store(degraded_period_ns, Ordering::Relaxed);
                                 {
-                                    let mut fac = host::lock_recover(&shared.core);
+                                    let mut fac = shared.lock_core();
                                     fac.set_interrupt_hz(
                                         (1_000_000_000 / degraded_period_ns).max(1),
                                     );
@@ -604,7 +604,7 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
                                     .backup_period_ns
                                     .store(normal_period_ns, Ordering::Relaxed);
                                 {
-                                    let mut fac = host::lock_recover(&shared.core);
+                                    let mut fac = shared.lock_core();
                                     fac.set_interrupt_hz((1_000_000_000 / normal_period_ns).max(1));
                                 }
                                 if let Some(start) = degraded_since.take() {
@@ -651,7 +651,13 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
     let mut worker_outs = Vec::new();
     let mut idle_outs = Vec::new();
     let mut backup_outs = Vec::new();
+    // Superseded generations are in `lane_outs` too: what a wedged thread
+    // fired before its restart still counts.
+    let mut degraded_delay_ns = HdrHistogram::new(bits);
+    let mut panics_caught = 0u64;
     for (class, t) in sup.lane_outs {
+        degraded_delay_ns.merge(&t.fires.degraded_delay);
+        panics_caught += t.fires.panics;
         match class {
             LaneClass::Worker => worker_outs.push(t),
             LaneClass::IdlePoll => idle_outs.push(t),
@@ -668,14 +674,13 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
         idle_outs,
         backup_outs,
     );
-    let fires = host::lock_recover(&shared.fires);
     let (panics_injected, clock_jumps_applied) = (
         shared.chaos.as_ref().map_or(0, |c| c.panics_injected()),
         shared.clock.jumps_applied(),
     );
     GuardReport {
-        degraded_delay_ns: fires.degraded_delay.clone(),
-        panics_caught: fires.panics,
+        degraded_delay_ns,
+        panics_caught,
         host: host_report,
         lanes: lanes_total,
         scans: sup.scans,
@@ -867,6 +872,7 @@ mod tests {
         assert!(report.scans > 0);
         assert_eq!(report.lanes, 3); // 1 worker + idle + backup
         assert!(report.host.handler_runs > 0, "workload still fires");
+        assert_eq!(report.host.stats.fired(), report.host.handler_runs);
         let json = report.to_json();
         st_trace::json::validate(&json).expect("invalid guard JSON");
         assert!(json.contains("\"schema\":\"st-rt-guard-v1\""));
@@ -930,5 +936,7 @@ mod tests {
             "detected before the window elapsed?"
         );
         assert!(report.host.handler_runs > 0);
+        // The stalled generation's fires were not dropped with its thread.
+        assert_eq!(report.host.stats.fired(), report.host.handler_runs);
     }
 }

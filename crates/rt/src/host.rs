@@ -24,7 +24,9 @@
 //! check is one clock read plus one compare against a cached
 //! earliest-deadline word; the shared core lock is taken only when an
 //! event is actually due, so check cost stays at probe scale instead of
-//! being dominated by cross-thread lock contention.
+//! being dominated by cross-thread lock contention. A due batch of any
+//! size takes the lock twice — to poll it out, to re-arm all of it — and
+//! each handler in between is a procedure call on lane-local state.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -106,15 +108,16 @@ impl Default for HostConfig {
 }
 
 /// A periodic event armed in the host core; the payload carries what the
-/// dispatcher needs to reschedule it drift-free.
+/// re-arm pass needs to reschedule it drift-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PeriodicEvent {
     pub(crate) period_ns: u64,
 }
 
-/// Per-origin fire accounting shared by all dispatching threads. Fires are
-/// orders of magnitude rarer than checks, so a mutex is fine here; the
-/// check fast path never touches it.
+/// Per-origin fire accounting of one lane thread, carried in its
+/// [`ThreadOut`]: a saturated lane fires millions of events a second, so
+/// recording one must not synchronise with anything. The lanes'
+/// accumulators are merged when the run is reported.
 pub(crate) struct FireAccum {
     pub(crate) trigger_delay: HdrHistogram,
     pub(crate) backup_delay: HdrHistogram,
@@ -122,36 +125,63 @@ pub(crate) struct FireAccum {
     /// Fire delays recorded while the supervisor held the runtime in
     /// degraded mode — the population the predicted envelope bounds.
     pub(crate) degraded_delay: HdrHistogram,
-    /// Injected handler panics caught by the dispatcher.
+    /// Injected handler panics caught at the dispatch boundary.
     pub(crate) panics: u64,
 }
 
+impl FireAccum {
+    pub(crate) fn new(bits: u32) -> Self {
+        FireAccum {
+            trigger_delay: HdrHistogram::new(bits),
+            backup_delay: HdrHistogram::new(bits),
+            handler_runs: 0,
+            degraded_delay: HdrHistogram::new(bits),
+            panics: 0,
+        }
+    }
+}
+
+/// The facility and its lock on cache lines of their own (128 bytes: x86
+/// prefetches lines in adjacent pairs). Every fire writes here — the lock
+/// word, `last_seen`, the stats — while every lane reads `Shared`'s other
+/// fields (the clock's, `earliest`, `stop`) on every loop iteration; on a
+/// shared line each lock acquisition would first wait for the line to
+/// come back from the other lanes' cores, ~100 ns added to every paced
+/// fire's delay on this machine.
+#[repr(align(128))]
+struct CoreCell(Mutex<SoftTimerCore<PeriodicEvent>>);
+
 pub(crate) struct Shared {
-    pub(crate) core: Mutex<SoftTimerCore<PeriodicEvent>>,
+    core: CoreCell,
     /// Cached earliest armed deadline (ns; `u64::MAX` when none). The
     /// trigger-check fast path compares the clock against this atomic and
     /// only takes the core lock when an event is actually due — the
     /// paper's point that a trigger check is a read + compare, not a
-    /// synchronized queue operation. Refreshed under the core lock after
-    /// every mutation; a stale value only delays one fire to the next
-    /// check or backup sweep, which the facility already tolerates.
+    /// synchronized queue operation. Refreshed under the core lock at the
+    /// end of every hold that mutated the queue (after a poll, after a
+    /// batch's re-arm pass); a stale value only delays one fire to the
+    /// next check or backup sweep, which the facility already tolerates.
     pub(crate) earliest: AtomicU64,
     /// Host clock; healthy runs use [`FaultClock::healthy`], which reads
     /// the raw clock plus one relaxed load.
     pub(crate) clock: FaultClock,
     pub(crate) stop: AtomicBool,
-    pub(crate) fires: Mutex<FireAccum>,
     /// Backup-sweep period the backup lane re-reads every cycle; the
     /// supervisor tightens it while degraded and restores on recovery.
     pub(crate) backup_period_ns: AtomicU64,
     /// Whether the supervisor currently holds the runtime in degraded
-    /// mode (fires recorded into `FireAccum::degraded_delay`).
+    /// mode (fires also recorded into `FireAccum::degraded_delay`).
     pub(crate) degraded: AtomicBool,
     /// Panic-injection decisions for chaos runs; `None` on healthy runs.
     pub(crate) chaos: Option<ChaosState>,
 }
 
 impl Shared {
+    /// Locks the facility core, recovering (counted) from poisoning.
+    pub(crate) fn lock_core(&self) -> MutexGuard<'_, SoftTimerCore<PeriodicEvent>> {
+        lock_recover(&self.core.0)
+    }
+
     /// Refreshes the cached earliest deadline. Call with the core lock
     /// held (the `core` borrow proves it).
     pub(crate) fn refresh_earliest(&self, core: &SoftTimerCore<PeriodicEvent>) {
@@ -169,32 +199,24 @@ impl Shared {
         clock: FaultClock,
         chaos: Option<ChaosState>,
     ) -> Arc<Shared> {
-        let bits = config.sub_bucket_bits;
         let backup_period_ns =
             u64::try_from(config.backup_period.as_nanos().max(1)).unwrap_or(u64::MAX);
         let shared = Arc::new(Shared {
-            core: Mutex::new(SoftTimerCore::new(Config {
+            core: CoreCell(Mutex::new(SoftTimerCore::new(Config {
                 measure_hz: 1_000_000_000,
                 interrupt_hz: (1_000_000_000 / backup_period_ns).max(1),
                 record_stats: true,
-            })),
+            }))),
             earliest: AtomicU64::new(u64::MAX),
             clock,
             stop: AtomicBool::new(false),
-            fires: Mutex::new(FireAccum {
-                trigger_delay: HdrHistogram::new(bits),
-                backup_delay: HdrHistogram::new(bits),
-                handler_runs: 0,
-                degraded_delay: HdrHistogram::new(bits),
-                panics: 0,
-            }),
             backup_period_ns: AtomicU64::new(backup_period_ns),
             degraded: AtomicBool::new(false),
             chaos,
         });
         // Arm the periodic workload before any thread starts measuring.
         {
-            let mut core = lock_recover(&shared.core);
+            let mut core = shared.lock_core();
             let now = shared.clock.now_ns();
             for period in &config.timer_periods {
                 let period_ns = u64::try_from(period.as_nanos()).unwrap_or(u64::MAX).max(1);
@@ -237,16 +259,18 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
-/// What one measuring thread (worker or idle poller) brings home.
+/// What one lane thread (worker, idle poller or backup sweep) brings home.
 pub(crate) struct ThreadOut {
     pub(crate) intervals: HdrHistogram,
     /// Wall-clock cost of each individual trigger check (ns), including
-    /// any dispatches it performed — the in-situ counterpart of the
-    /// probe's uncontended check cost.
+    /// any batch it fired — the in-situ counterpart of the probe's
+    /// uncontended check cost.
     pub(crate) check_ns: HdrHistogram,
     pub(crate) checks: u64,
     pub(crate) facility_ns: u64,
     pub(crate) busy_ns: u64,
+    /// Every fire this thread dispatched.
+    pub(crate) fires: FireAccum,
 }
 
 impl ThreadOut {
@@ -257,12 +281,13 @@ impl ThreadOut {
             checks: 0,
             facility_ns: 0,
             busy_ns: 0,
+            fires: FireAccum::new(bits),
         }
     }
 }
 
 /// Sum of a cost histogram excluding samples at or above the p99.9
-/// cutoff. On an oversubscribed host (this container has one core for
+/// cutoff. On an oversubscribed host (this container has two cores for
 /// four runtime threads) a scheduler preemption landing inside the
 /// measured window adds *milliseconds* to a ~100 ns check; those few
 /// windows would otherwise dominate the total and report scheduler
@@ -336,7 +361,7 @@ pub struct HostReport {
     /// worker/idle threads — the soft-timer facility's in-situ CPU share.
     /// Computed from the 99.9 %-trimmed check-cost sum so that scheduler
     /// preemptions landing inside a measured window (milliseconds against
-    /// a ~100 ns check on this one-core container) do not masquerade as
+    /// a ~100 ns check on this two-core container) do not masquerade as
     /// facility cost; the untrimmed value is
     /// [`facility_cpu_fraction_raw`](Self::facility_cpu_fraction_raw).
     pub facility_cpu_fraction: f64,
@@ -353,15 +378,28 @@ pub struct HostReport {
     pub stats: st_core::FacilityStats,
 }
 
-/// Runs one due-event batch through the dispatcher: records the fire
-/// delay, runs the (possibly chaos-panicking) handler body isolated
-/// under `catch_unwind`, and reschedules the periodic event drift-free
-/// from its previous deadline.
-fn dispatch(shared: &Shared, ev: Expired<PeriodicEvent>) {
+/// Drift-free next deadline of a periodic event that was due at `due` and
+/// is re-armed at `now`: one period after `due`, or, when the run fell
+/// behind, the first point of the `due + k * period_ns` grid strictly
+/// after `now` (missed periods are skipped arithmetically, not fired in a
+/// burst). Saturates at the end of time instead of wrapping.
+fn next_due(due: u64, period_ns: u64, now: u64) -> u64 {
+    let period = period_ns.max(1);
+    let next = due.saturating_add(period);
+    if next > now {
+        return next;
+    }
+    let skipped = ((now - next) / period).saturating_add(1);
+    next.saturating_add(skipped.saturating_mul(period))
+}
+
+/// Runs the handler of one fired event and accounts it in the lane's
+/// accumulator; touches nothing shared but the `degraded` flag.
+fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum) {
     let delay = ev.delay();
     // The handler body. The measured workload's real handler is trivial;
-    // a chaos run makes some of them panic, and the dispatcher must
-    // contain that to the one fire — not the lane, not the runtime.
+    // a chaos run makes some of them panic, and the dispatch boundary
+    // must contain that to the one fire — not the lane, not the runtime.
     let panicked = match &shared.chaos {
         Some(chaos) if chaos.should_panic() => {
             let r = catch_unwind(AssertUnwindSafe(|| {
@@ -372,19 +410,16 @@ fn dispatch(shared: &Shared, ev: Expired<PeriodicEvent>) {
         }
         _ => false,
     };
-    {
-        let mut fires = lock_recover(&shared.fires);
-        match ev.origin {
-            FireOrigin::TriggerState => fires.trigger_delay.record(delay),
-            FireOrigin::BackupInterrupt => fires.backup_delay.record(delay),
-        }
-        if shared.degraded.load(Ordering::Relaxed) {
-            fires.degraded_delay.record(delay);
-        }
-        fires.handler_runs += 1;
-        if panicked {
-            fires.panics += 1;
-        }
+    match ev.origin {
+        FireOrigin::TriggerState => acc.trigger_delay.record(delay),
+        FireOrigin::BackupInterrupt => acc.backup_delay.record(delay),
+    }
+    if shared.degraded.load(Ordering::Relaxed) {
+        acc.degraded_delay.record(delay);
+    }
+    acc.handler_runs += 1;
+    if panicked {
+        acc.panics += 1;
     }
     // Sealed telemetry: visible to a trace/scope session on the
     // dispatching thread, a no-op otherwise (same contract as the sim).
@@ -402,22 +437,6 @@ fn dispatch(shared: &Shared, ev: Expired<PeriodicEvent>) {
         FireOrigin::TriggerState => st_scope::fire_delay("rt.host.trigger", delay, 0),
         FireOrigin::BackupInterrupt => st_scope::fire_delay("rt.host.backup", delay, 0),
     }
-    // Drift-free rearm: next deadline from the previous deadline, skipping
-    // missed periods arithmetically if the run stalled.
-    let period = ev.payload.period_ns.max(1);
-    let now = shared.clock.now_ns();
-    let mut next = ev.due.saturating_add(period);
-    if next <= now {
-        let behind = now - next;
-        next += (behind / period + 1) * period;
-    }
-    let mut core = lock_recover(&shared.core);
-    if panicked {
-        core.note_handler_panic();
-    }
-    // `schedule(now, delta)` arms deadline `now + delta + 1`.
-    core.schedule(now, next - now - 1, ev.payload);
-    shared.refresh_earliest(&core);
 }
 
 /// Per-lane control block threaded through the measuring loops: the
@@ -503,10 +522,18 @@ impl LaneCtl {
 
 /// One trigger-state check (or backup sweep). The check fast path is a
 /// clock read plus a compare against the cached earliest deadline; the
-/// core lock is taken only when an event is due (or on a sweep). Due
-/// events are polled under the lock and dispatched outside it. Returns
-/// the number of events fired.
-fn trigger_check(shared: &Shared, buf: &mut Vec<Expired<PeriodicEvent>>, sweep: bool) -> usize {
+/// core lock is taken only when an event is due (or on a sweep). A due
+/// batch costs two lock holds and two clock reads whatever its size: it
+/// is polled out under the lock, every handler runs with no lock held
+/// against the lane's own `acc`, and one pass under the lock re-arms the
+/// whole batch from a single post-handler clock read. Returns the number
+/// of events fired.
+pub(crate) fn trigger_check(
+    shared: &Shared,
+    buf: &mut Vec<Expired<PeriodicEvent>>,
+    sweep: bool,
+    acc: &mut FireAccum,
+) -> usize {
     if !sweep {
         let due = shared.earliest.load(Ordering::Acquire);
         if shared.clock.now_ns() < due {
@@ -515,7 +542,7 @@ fn trigger_check(shared: &Shared, buf: &mut Vec<Expired<PeriodicEvent>>, sweep: 
     }
     buf.clear();
     {
-        let mut core = lock_recover(&shared.core);
+        let mut core = shared.lock_core();
         let now = shared.clock.now_ns();
         if sweep {
             core.interrupt_sweep(now, buf);
@@ -525,9 +552,27 @@ fn trigger_check(shared: &Shared, buf: &mut Vec<Expired<PeriodicEvent>>, sweep: 
         shared.refresh_earliest(&core);
     }
     let n = buf.len();
-    for ev in buf.drain(..) {
-        dispatch(shared, ev);
+    if n == 0 {
+        return 0;
     }
+    let panics_before = acc.panics;
+    for ev in buf.iter() {
+        run_handler(shared, ev, acc);
+    }
+    // `now` is the paper's schedule time S of every re-arm in the batch:
+    // read after the last handler, so each new deadline is past the
+    // moment its handler finished.
+    let now = shared.clock.now_ns();
+    let mut core = shared.lock_core();
+    for _ in panics_before..acc.panics {
+        core.note_handler_panic();
+    }
+    for ev in buf.drain(..) {
+        let next = next_due(ev.due, ev.payload.period_ns, now);
+        // `schedule(now, delta)` arms deadline `now + delta + 1`.
+        core.schedule(now, next.saturating_sub(now).saturating_sub(1), ev.payload);
+    }
+    shared.refresh_earliest(&core);
     n
 }
 
@@ -562,7 +607,7 @@ pub(crate) fn measure_loop(
             out.intervals.record(t0 - last);
         }
         last_check = Some(t0);
-        trigger_check(shared, &mut buf, false);
+        trigger_check(shared, &mut buf, false, &mut out.fires);
         let elapsed = shared.clock.now_ns() - t0;
         out.check_ns.record(elapsed);
         out.facility_ns += elapsed;
@@ -589,7 +634,7 @@ pub(crate) fn backup_loop(shared: &Shared, bits: u32, mut ctl: LaneCtl) -> Threa
             out.intervals.record(t0 - l);
         }
         last = Some(t0);
-        trigger_check(shared, &mut buf, true);
+        trigger_check(shared, &mut buf, true, &mut out.fires);
         out.facility_ns += shared.clock.now_ns() - t0;
         out.checks += 1;
     }
@@ -720,26 +765,35 @@ pub(crate) fn finish_report(
     }
     backup_sweep.density_hz = backup_sweep.checks as f64 / secs;
 
-    let fires = lock_recover(&shared.fires);
-    let stats = lock_recover(&shared.core).stats().clone();
-    let fired_total = fires.trigger_delay.count() + fires.backup_delay.count();
+    // Every lane thread of every generation dispatched into its own
+    // accumulator; the run's fires are their sum.
+    let mut fired_trigger = HdrHistogram::new(bits);
+    let mut fired_backup = HdrHistogram::new(bits);
+    let mut handler_runs = 0u64;
+    for out in worker_outs.iter().chain(&idle_outs).chain(&backup_outs) {
+        fired_trigger.merge(&out.fires.trigger_delay);
+        fired_backup.merge(&out.fires.backup_delay);
+        handler_runs += out.fires.handler_runs;
+    }
+    let stats = shared.lock_core().stats().clone();
+    let fired_total = fired_trigger.count() + fired_backup.count();
     HostReport {
         duration_ns,
         workers,
-        fired_trigger: FireReport {
-            count: fires.trigger_delay.count(),
-            delay_ns: fires.trigger_delay.clone(),
-        },
-        fired_backup: FireReport {
-            count: fires.backup_delay.count(),
-            delay_ns: fires.backup_delay.clone(),
-        },
-        handler_runs: fires.handler_runs,
         backup_share: if fired_total > 0 {
-            fires.backup_delay.count() as f64 / fired_total as f64
+            fired_backup.count() as f64 / fired_total as f64
         } else {
             0.0
         },
+        fired_trigger: FireReport {
+            count: fired_trigger.count(),
+            delay_ns: fired_trigger,
+        },
+        fired_backup: FireReport {
+            count: fired_backup.count(),
+            delay_ns: fired_backup,
+        },
+        handler_runs,
         facility_cpu_fraction: if busy_ns_total > 0 {
             trimmed_sum_ns(&check_cost) as f64 / busy_ns_total as f64
         } else {
@@ -889,6 +943,9 @@ mod tests {
         assert!(report.handler_runs > 20, "{}", report.handler_runs);
         let fired = report.fired_trigger.count + report.fired_backup.count;
         assert_eq!(fired, report.handler_runs);
+        // Conservation across lanes: what the core handed out under its
+        // lock is what the lanes' accumulators add up to.
+        assert_eq!(report.stats.fired(), report.handler_runs);
         // With an idle poller at ~µs cadence almost everything should
         // fire from a trigger state, but only assert the soft bound.
         assert!(report.backup_share <= 1.0);
@@ -898,6 +955,73 @@ mod tests {
         if let Some(p99) = report.fired_trigger.delay_ns.quantile(0.99) {
             assert!(p99 < 1_000_000_000, "p99 delay {p99} ns");
         }
+    }
+
+    #[test]
+    fn next_due_stays_on_the_grid_and_strictly_ahead() {
+        // On time: one period after the previous deadline.
+        assert_eq!(next_due(1_000, 100, 1_050), 1_100);
+        // `next == now` is not in the future yet: skip one period.
+        assert_eq!(next_due(1_000, 100, 1_100), 1_200);
+        // One whole period behind, then k periods and a bit.
+        assert_eq!(next_due(1_000, 100, 1_200), 1_300);
+        for k in [1u64, 2, 7, 1_000] {
+            let now = 1_100 + k * 100 + 37;
+            assert_eq!(next_due(1_000, 100, now), 1_100 + (k + 1) * 100);
+        }
+        // Degenerate periods: 1 ns, and 0 treated as 1.
+        assert_eq!(next_due(10, 1, 500), 501);
+        assert_eq!(next_due(10, 0, 500), 501);
+        // Within one period of the end of time: saturated, never wrapped,
+        // whether the clock is early or itself at the end.
+        assert_eq!(next_due(u64::MAX - 5, 100, 17), u64::MAX);
+        assert_eq!(next_due(u64::MAX - 5, 100, u64::MAX), u64::MAX);
+        assert_eq!(next_due(0, u64::MAX / 2 + 1, u64::MAX - 1), u64::MAX);
+    }
+
+    #[test]
+    fn a_due_batch_costs_one_poll_and_one_rearm_pass() {
+        const N: usize = 64;
+        let period = Duration::from_micros(50);
+        let period_ns = period.as_nanos() as u64;
+        let config = HostConfig {
+            timer_periods: vec![period; N],
+            ..quick_config()
+        };
+        let shared = Shared::build(&config, FaultClock::healthy(), None);
+        let mut acc = FireAccum::new(config.sub_bucket_bits);
+        let mut buf = Vec::new();
+        // Armed from one clock read: all N share their deadlines for ever.
+        let mut due = shared.earliest.load(Ordering::Acquire);
+        for (sweep, checks, sweeps) in [(false, 1, 0), (true, 2, 1)] {
+            let before = shared.clock.spin_until(due);
+            assert_eq!(trigger_check(&shared, &mut buf, sweep, &mut acc), N);
+            assert!(buf.is_empty());
+            let core = shared.lock_core();
+            assert_eq!(core.pending(), N);
+            assert_eq!(core.stats().checks, checks, "one poll per batch");
+            assert_eq!(core.stats().backup_sweeps, sweeps);
+            assert_eq!(
+                core.stats().scheduled,
+                (N as u64) * (checks + 1),
+                "one re-arm per fire, none twice"
+            );
+            let next = shared.earliest.load(Ordering::Acquire);
+            assert_eq!(Some(next), core.earliest_deadline());
+            assert!(next > before, "re-armed into the past: {next} <= {before}");
+            assert_eq!((next - due) % period_ns, 0, "off the drift-free grid");
+            due = next;
+        }
+        assert_eq!(acc.trigger_delay.count(), N as u64);
+        assert_eq!(acc.backup_delay.count(), N as u64);
+        assert_eq!(acc.handler_runs, 2 * N as u64);
+        assert_eq!((acc.panics, acc.degraded_delay.count()), (0, 0));
+        // Every timer of the batch, not just the earliest, is past the
+        // re-arm's clock read and on its grid.
+        let mut core = shared.lock_core();
+        assert_eq!(core.poll(due - 1, &mut buf), 0);
+        assert_eq!(core.poll(due, &mut buf), N);
+        assert!(buf.iter().all(|ev| ev.due == due));
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! - cost of reading the clock,
 //! - cost of an empty trigger-state check (`poll` finding nothing due),
 //! - marginal cost of dispatching a due event,
+//! - cost per fire of a due batch through the host runtime's own fire path
+//!   (poll, handlers, lane accounting, re-arm pass),
 //! - wake-up precision of `thread::sleep` vs spinning (the Metronome-style
 //!   question: how much slack does the OS add to a requested µs delay?).
 //!
@@ -22,13 +24,16 @@
 //! [`Calibration::probe_retries`] so a noisy calibration is visible in
 //! the report instead of silently wrong.
 
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use st_core::{Config, Expired, SoftTimerCore};
 use st_stats::HdrHistogram;
 use st_trace::json::ObjectBuilder;
 
+use crate::chaos::FaultClock;
 use crate::clock::NanoClock;
+use crate::host::{trigger_check, FireAccum, HostConfig, Shared};
 
 /// Fitted host timing constants plus wake-up precision distributions.
 #[derive(Debug, Clone)]
@@ -178,6 +183,32 @@ pub fn fire_dispatch_cost(clock: &NanoClock) -> f64 {
     fire_dispatch_cost_tracked(clock, &mut 0)
 }
 
+/// Cost per fire of a due batch through the host runtime's real
+/// `trigger_check` (ns), one thread, nothing contending: 1 000 timers of
+/// one 1 µs period armed together, so every check finds all of them due
+/// again (a batch takes tens of µs) and pays exactly what a saturated
+/// lane pays per batch — fast-path compare, poll under the core lock,
+/// 1 000 handlers against the lane accumulator, one clock read, one
+/// re-arm pass with the skip-ahead taken.
+pub fn batch_dispatch_cost(clock: &NanoClock) -> f64 {
+    const TIMERS: usize = 1_000;
+    let config = HostConfig {
+        timer_periods: vec![Duration::from_micros(1); TIMERS],
+        ..HostConfig::default()
+    };
+    let shared = Shared::build(&config, FaultClock::healthy(), None);
+    let mut acc = FireAccum::new(config.sub_bucket_bits);
+    let mut buf = Vec::new();
+    let per_batch = min_per_iter_guarded(clock, 32, 4, &mut 0, || {
+        shared
+            .clock
+            .spin_until(shared.earliest.load(Ordering::Acquire));
+        let fired = trigger_check(&shared, &mut buf, false, &mut acc);
+        debug_assert_eq!(fired, TIMERS);
+    });
+    per_batch / TIMERS as f64
+}
+
 /// Overshoot distribution of `thread::sleep(requested)` (ns).
 pub fn sleep_slack(clock: &NanoClock, requested: Duration, samples: usize) -> HdrHistogram {
     let req_ns = u64::try_from(requested.as_nanos()).unwrap_or(u64::MAX);
@@ -269,6 +300,8 @@ mod tests {
         assert!(check < 1_000_000.0, "check {check} ns");
         let dispatch = fire_dispatch_cost(&clock);
         assert!((1.0..10_000_000.0).contains(&dispatch), "{dispatch}");
+        let batch = batch_dispatch_cost(&clock);
+        assert!((1.0..1_000_000.0).contains(&batch), "{batch}");
     }
 
     #[test]
