@@ -149,6 +149,21 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
         }),
     ));
 
+    // The same idle check one layer up, through the public real-time
+    // runtime: `run_pending()` with a far-future event pending is a clock
+    // read and a compare against the cached earliest deadline — no lock,
+    // so it stays at clock-read scale however many threads poll.
+    out.push(stat(
+        "rt.timers.run_pending_idle",
+        measure(n, |b| {
+            use std::time::Duration;
+            let rt = st_rt::RtSoftTimers::start(st_rt::RtConfig::default());
+            rt.schedule_in(Duration::from_secs(3_600), |_| {});
+            b.iter(|| rt.run_pending());
+            rt.shutdown();
+        }),
+    ));
+
     // Facility steady state: fire and rearm one event per two checks.
     out.push(stat(
         "facility.schedule_fire_cycle",
@@ -678,12 +693,13 @@ mod tests {
     #[test]
     fn smoke_suite_runs_and_serializes_validly() {
         let stats = run_suite(true);
-        assert!(stats.len() >= 17, "suite shrank to {} entries", stats.len());
+        assert!(stats.len() >= 18, "suite shrank to {} entries", stats.len());
         let names: Vec<&str> = stats.iter().map(|s| s.name).collect();
         for expect in [
             "wheel.hashed.schedule_fire_cancel",
             "wheel.heap.schedule_fire_cancel",
             "facility.poll_not_due",
+            "rt.timers.run_pending_idle",
             "kernel.trigger_check",
             "trace.sealed_noop_emit",
             "tcp.pacer_release",

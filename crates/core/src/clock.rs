@@ -83,11 +83,6 @@ impl Clock for ManualClock {
     }
 }
 
-// The wall-clock implementation lives with the rest of the real-time code
-// in `rt` — the only module the `no-wall-clock` lint permits to read host
-// time — and is re-exported here so the clock abstraction stays one-stop.
-pub use crate::rt::MonotonicClock;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,15 +7,18 @@
 //! cost of a procedure call. A periodic hardware interrupt at conventional
 //! rate (1 kHz) backs the facility up, bounding the delay of any event.
 //!
-//! This crate is the reusable library: it contains no simulation. The
-//! simulated kernel in `st-kernel` embeds it, and real programs can use it
-//! directly through [`rt::RtSoftTimers`], polling at their own trigger
-//! points (e.g. each event-loop iteration of a userspace network stack).
+//! This crate is the reusable library: it contains no simulation, reads
+//! no wall clock and starts no thread — every method takes the current
+//! tick as an argument, so it replays deterministically. The simulated
+//! kernel in `st-kernel` embeds it; real programs reach it through
+//! `st_rt::RtSoftTimers`, which runs this core on OS threads and is polled
+//! at the program's own trigger points (e.g. each event-loop iteration of
+//! a userspace network stack).
 //!
 //! # Layout
 //!
-//! - [`clock`] — the measurement clock abstraction ([`Clock`]) with manual
-//!   and monotonic implementations.
+//! - [`clock`] — the measurement clock abstraction ([`Clock`]) and the
+//!   manually advanced [`ManualClock`] (the wall clock is `st_rt::NanoClock`).
 //! - [`facility`] — [`SoftTimerCore`]: tick-driven scheduling, the
 //!   trigger-state check, the backup-interrupt sweep, delay accounting, and
 //!   the paper's `T < actual < T + X + 1` firing bounds.
@@ -28,8 +31,6 @@
 //!   `interrupt_clock_resolution`) over any [`Clock`].
 //! - [`smp`] — the §5.2 multi-CPU idle rules: one designated idle
 //!   checker, halting under rules (a) and (b).
-//! - [`rt`] — a real-time runtime: monotonic clock + backup-tick thread,
-//!   with closure handlers.
 //! - [`stats`] — facility statistics (fires by origin, delay distribution).
 //!
 //! # Example
@@ -61,12 +62,11 @@ pub mod clock;
 pub mod facility;
 pub mod pacer;
 pub mod poller;
-pub mod rt;
 pub mod smp;
 pub mod stats;
 
 pub use api::SoftTimers;
-pub use clock::{Clock, ManualClock, MonotonicClock};
+pub use clock::{Clock, ManualClock};
 pub use facility::{Config, Expired, FireOrigin, SoftTimerCore, TimerHandle};
 pub use pacer::{Pacer, PacerConfig};
 pub use poller::{PollController, PollControllerConfig};

@@ -27,7 +27,7 @@ pub struct FacilityStats {
     /// accounting never underflows; this counts how often it had to.
     pub clock_regressions: u64,
     /// Event handlers that panicked while dispatched by an embedding
-    /// runtime ([`crate::api::SoftTimers`], [`crate::rt::RtSoftTimers`]).
+    /// runtime ([`crate::api::SoftTimers`], `st_rt::RtSoftTimers`).
     pub handler_panics: u64,
     /// Effective backup-frequency retunes via
     /// [`crate::SoftTimerCore::set_interrupt_hz`] — how often a

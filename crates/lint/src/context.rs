@@ -40,15 +40,18 @@ pub struct FileContext {
 /// Crates whose runs must replay byte-identically from a seed.
 const DETERMINISTIC_CRATES: [&str; 7] = ["sim", "kernel", "core", "net", "tcp", "admit", "scope"];
 
-/// The sanctioned wall-clock homes: st-core's real-time embedding file,
-/// plus the whole st-rt crate — the host-measurement runtime whose entire
-/// purpose is reading the real clock. Everything else must stay on
-/// simulated time.
-const WALL_CLOCK_HOME: &str = "crates/core/src/rt.rs";
+/// The sanctioned wall-clock home: the st-rt crate — the host runtime
+/// whose entire purpose is reading the real clock. Everything else must
+/// stay on simulated time.
 const WALL_CLOCK_HOME_PREFIXES: [&str; 1] = ["crates/rt/src/"];
 
-/// Facility/kernel hot paths watched for panicking arithmetic.
-const UNWRAP_WATCHED: [&str; 2] = ["crates/core/src/facility.rs", "crates/core/src/rt.rs"];
+/// Facility/kernel hot paths watched for panicking arithmetic, and the
+/// host runtime's shared fire pass and closure runtime.
+const UNWRAP_WATCHED: [&str; 3] = [
+    "crates/core/src/facility.rs",
+    "crates/rt/src/shared.rs",
+    "crates/rt/src/timers.rs",
+];
 const UNWRAP_WATCHED_PREFIXES: [&str; 2] = ["crates/kernel/src/", "crates/wheel/src/"];
 
 /// Dispatch-path files where even raw indexing must be justified.
@@ -109,7 +112,6 @@ impl FileContext {
     pub(crate) fn applies_wall_clock(&self) -> bool {
         self.kind != FileKind::Test
             && self.kind != FileKind::Example
-            && self.path != WALL_CLOCK_HOME
             && !WALL_CLOCK_HOME_PREFIXES
                 .iter()
                 .any(|p| self.path.starts_with(p))
@@ -155,13 +157,11 @@ impl FileContext {
                 || self.crate_dir == "prof")
     }
 
-    /// Shared-state audit: library code of the deterministic crates. The
-    /// real-time runtime is exempt — it is the declared OS-thread boundary
-    /// and owns its synchronization by design.
+    /// Shared-state audit: library code of the deterministic crates (the
+    /// real-time runtime, st-rt, is the declared OS-thread boundary and is
+    /// not one of them).
     pub(crate) fn applies_shared_state(&self) -> bool {
-        self.kind == FileKind::Lib
-            && DETERMINISTIC_CRATES.contains(&self.crate_dir.as_str())
-            && self.path != WALL_CLOCK_HOME
+        self.kind == FileKind::Lib && DETERMINISTIC_CRATES.contains(&self.crate_dir.as_str())
     }
 }
 

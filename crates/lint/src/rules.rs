@@ -88,7 +88,7 @@ impl RuleId {
         match self {
             RuleId::NoWallClock => {
                 "seed replay: simulated time comes from the engine, never the host clock \
-                 (only core/src/rt.rs, the st-rt crate, tests, and examples touch real time)"
+                 (only the st-rt crate, tests, and examples touch real time)"
             }
             RuleId::NoUnorderedIteration => {
                 "seed replay: HashMap/HashSet iteration order varies per process, so two \
@@ -139,7 +139,7 @@ impl RuleId {
     pub fn fix_hint(self) -> &'static str {
         match self {
             RuleId::NoWallClock => {
-                "take time from Clock/SimTime, or move the code into core/src/rt.rs"
+                "take time from Clock/SimTime, or move the code into the st-rt crate"
             }
             RuleId::NoUnorderedIteration => "use BTreeMap/BTreeSet or sort before iterating",
             RuleId::NoSilentCast => "use try_from with an explicit failure path",

@@ -26,8 +26,10 @@ fn check(pretend_path: &str, src: &str, expected: &[(RuleId, u32, bool)]) {
 
 #[test]
 fn no_wall_clock_fixture() {
+    // Under st-core's old runtime path: no file of a deterministic crate
+    // is a sanctioned wall-clock home any more.
     check(
-        "crates/net/src/fixture.rs",
+        "crates/core/src/rt.rs",
         include_str!("fixtures/no_wall_clock.rs"),
         &[
             (RuleId::NoWallClock, 5, false),
@@ -40,13 +42,13 @@ fn no_wall_clock_fixture() {
 
 #[test]
 fn wall_clock_homes_are_sanctioned() {
-    // st-core's rt.rs and the whole st-rt crate are the declared
-    // real-time boundary: the same source that flags under any other
-    // library path is clean there. The rule no longer applies, so the
-    // fixture's suppression comments turn stale and surface as
-    // AllowHygiene findings — stale allows are findings everywhere.
+    // The st-rt crate is the declared real-time boundary: the same
+    // source that flags under any other library path is clean there. The
+    // rule no longer applies, so the fixture's suppression comments turn
+    // stale and surface as AllowHygiene findings — stale allows are
+    // findings everywhere.
     for path in [
-        "crates/core/src/rt.rs",
+        "crates/rt/src/timers.rs",
         "crates/rt/src/host.rs",
         "crates/rt/src/clock.rs",
     ] {

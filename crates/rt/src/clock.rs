@@ -1,12 +1,12 @@
-//! Nanosecond-resolution monotonic clock for host measurements.
+//! Nanosecond-resolution monotonic clock: the workspace's one wall clock.
 //!
-//! `st_core::MonotonicClock` deliberately runs at the paper's 1 MHz
-//! measurement resolution; host-runtime telemetry needs to resolve a
-//! ~20 ns trigger check, so this clock runs the same [`Clock`] contract at
-//! 1 GHz (ticks are nanoseconds).
+//! The paper's "typical" measurement resolution is 1 MHz and the simulator
+//! keeps it; host-runtime telemetry needs to resolve a ~20 ns trigger
+//! check, so everything on real threads runs the same [`Clock`] contract
+//! at 1 GHz (ticks are nanoseconds).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use st_core::Clock;
 
@@ -14,27 +14,26 @@ use st_core::Clock;
 /// [`saturations`]).
 static SATURATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// How many nanosecond conversions have pinned at `u64::MAX` process-wide.
-/// `u64` nanoseconds overflow after ~584 years of uptime, so nonzero here
-/// means a wildly wrong `Instant` — surfaced rather than silently treated
-/// as "time stopped" (the same audibility rule as
-/// [`st_core::rt::saturations`]).
+/// How many nanosecond conversions (clock reads, scheduling delays,
+/// periods) have pinned at `u64::MAX` process-wide. `u64` nanoseconds
+/// overflow after ~584 years, so nonzero here means a wildly wrong
+/// `Instant` or a caller's nonsense `Duration` — surfaced rather than
+/// silently treated as "time stopped", which is how a pinned clock reads
+/// to the wheel.
 pub fn saturations() -> u64 {
     SATURATIONS.load(Ordering::Relaxed)
 }
 
-fn saturating_nanos(nanos: u128) -> u64 {
-    match u64::try_from(nanos) {
-        Ok(v) => v,
-        Err(_) => {
-            SATURATIONS.fetch_add(1, Ordering::Relaxed);
-            if st_trace::active() {
-                st_trace::count("rt.time_saturations", 1);
-                st_trace::emit(st_trace::Category::Rt, "rt.nanos_saturated", u64::MAX, 0, 0);
-            }
-            u64::MAX
-        }
-    }
+/// A `Duration` as nanosecond ticks, pinning at `u64::MAX` on overflow —
+/// audibly: each clamp is counted (see [`saturations`]) and traced as
+/// `rt.time_saturations` when a session is active on the calling thread.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or_else(|_| {
+        SATURATIONS.fetch_add(1, Ordering::Relaxed);
+        st_trace::count("rt.time_saturations", 1);
+        st_trace::emit(st_trace::Category::Rt, "rt.nanos_saturated", u64::MAX, 0, 0);
+        u64::MAX
+    })
 }
 
 /// Wall-clock measurement via [`Instant`] in nanosecond ticks (1 GHz).
@@ -59,7 +58,7 @@ impl NanoClock {
     /// Nanoseconds since construction (convenience alias of
     /// [`Clock::measure_time`]).
     pub fn now_ns(&self) -> u64 {
-        saturating_nanos(self.start.elapsed().as_nanos())
+        nanos(self.start.elapsed())
     }
 
     /// Busy-waits until the clock reads at least `deadline_ns`, returning
@@ -101,7 +100,7 @@ mod tests {
     fn nano_clock_is_monotone_and_advances() {
         let c = NanoClock::new();
         let a = c.measure_time();
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(1));
         let b = c.measure_time();
         assert!(b > a, "1 ms sleep must advance a ns clock");
         assert!(b - a >= 500_000, "1 ms sleep advanced only {} ns", b - a);

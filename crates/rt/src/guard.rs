@@ -21,7 +21,7 @@
 //!   the configured period;
 //! - panicking handlers are isolated at the dispatch boundary (the host
 //!   runs each under `catch_unwind`, with no lock held) and poisoned
-//!   locks recover *counted* ([`crate::host::lock_recoveries`]).
+//!   locks recover *counted* ([`crate::lock_recoveries`]).
 //!
 //! The [`SupervisorCore`] is pure — time in, actions out — so the
 //! `rt_chaos` experiment drives the identical policy code in virtual
@@ -36,10 +36,11 @@ use st_stats::HdrHistogram;
 use st_trace::json::ObjectBuilder;
 
 use crate::chaos::{ChaosSchedule, ChaosState, FaultClock};
+use crate::clock::nanos;
 use crate::host::{
-    backup_loop, finish_report, lock_recoveries, measure_loop, HostConfig, HostReport, LaneCtl,
-    Shared, ThreadOut,
+    backup_loop, finish_report, measure_loop, HostConfig, HostReport, LaneCtl, Shared, ThreadOut,
 };
+use crate::shared::{interrupt_hz, lock_recoveries};
 
 /// A lane's liveness signal: the owning thread stores the current clock
 /// reading at the top of every loop iteration; the supervisor compares
@@ -370,6 +371,22 @@ struct SupervisorOut {
     lane_outs: Vec<(LaneClass, ThreadOut)>,
 }
 
+impl SupervisorOut {
+    fn new(bits: u32) -> Self {
+        SupervisorOut {
+            scans: 0,
+            detections: 0,
+            detect_age_ns: HdrHistogram::new(bits),
+            restarts: 0,
+            recoveries: 0,
+            giveups: 0,
+            degraded_windows: 0,
+            degraded_window_ns: HdrHistogram::new(bits),
+            lane_outs: Vec::new(),
+        }
+    }
+}
+
 struct LaneRuntime {
     class: LaneClass,
     hb: Heartbeat,
@@ -455,11 +472,9 @@ pub fn plan_lane_stalls(
 /// restarts, degraded windows, and the chaos actually injected.
 pub fn run_guarded(config: &GuardConfig) -> GuardReport {
     let bits = config.host.sub_bucket_bits;
-    let duration_ns = u64::try_from(config.host.duration.as_nanos()).unwrap_or(u64::MAX);
-    let degraded_period_ns =
-        u64::try_from(config.degraded_backup_period.as_nanos().max(1)).unwrap_or(u64::MAX);
-    let normal_period_ns =
-        u64::try_from(config.host.backup_period.as_nanos().max(1)).unwrap_or(u64::MAX);
+    let duration_ns = nanos(config.host.duration);
+    let degraded_period_ns = nanos(config.degraded_backup_period).max(1);
+    let normal_period_ns = nanos(config.host.backup_period).max(1);
 
     let classes = lane_classes(&config.host);
 
@@ -478,8 +493,8 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
 
     let lock_recoveries_before = lock_recoveries();
     let shared = Shared::build(&config.host, FaultClock::with_jumps(jumps), chaos_state);
-    let work_ns = u64::try_from(config.host.task_work.as_nanos()).unwrap_or(u64::MAX);
-    let pause_ns = u64::try_from(config.host.idle_pause.as_nanos()).unwrap_or(u64::MAX);
+    let work_ns = nanos(config.host.task_work);
+    let pause_ns = nanos(config.host.idle_pause);
 
     let now0 = shared.clock.now_ns();
     let mut lanes: Vec<LaneRuntime> = Vec::with_capacity(classes.len());
@@ -500,10 +515,9 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
     let supervisor = {
         let shared = Arc::clone(&shared);
         let sup_config = SupervisorConfig {
-            stall_window_ns: u64::try_from(config.stall_window.as_nanos()).unwrap_or(u64::MAX),
+            stall_window_ns: nanos(config.stall_window),
             restart_budget: config.restart_budget,
-            restart_backoff_ns: u64::try_from(config.restart_backoff.as_nanos())
-                .unwrap_or(u64::MAX),
+            restart_backoff_ns: nanos(config.restart_backoff),
         };
         let scan_period = config.scan_period;
         let classes = classes.clone();
@@ -511,17 +525,7 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
             .name("st-guard-supervisor".into())
             .spawn(move || {
                 let mut core = SupervisorCore::new(sup_config, classes);
-                let mut out = SupervisorOut {
-                    scans: 0,
-                    detections: 0,
-                    detect_age_ns: HdrHistogram::new(bits),
-                    restarts: 0,
-                    recoveries: 0,
-                    giveups: 0,
-                    degraded_windows: 0,
-                    degraded_window_ns: HdrHistogram::new(bits),
-                    lane_outs: Vec::new(),
-                };
+                let mut out = SupervisorOut::new(bits);
                 let mut actions: Vec<Action> = Vec::new();
                 let mut beats: Vec<u64> = vec![0; lanes.len()];
                 let mut degraded_since: Option<u64> = None;
@@ -588,13 +592,10 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
                                 shared
                                     .backup_period_ns
                                     .store(degraded_period_ns, Ordering::Relaxed);
-                                {
-                                    let mut fac = shared.lock_core();
-                                    fac.set_interrupt_hz(
-                                        (1_000_000_000 / degraded_period_ns).max(1),
-                                    );
-                                    shared.refresh_earliest(&fac);
-                                }
+                                shared
+                                    .core
+                                    .lock()
+                                    .set_interrupt_hz(interrupt_hz(degraded_period_ns));
                                 shared.degraded.store(true, Ordering::Relaxed);
                                 st_scope::gauge(now, "rt.guard.degraded", 1.0);
                             }
@@ -603,10 +604,10 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
                                 shared
                                     .backup_period_ns
                                     .store(normal_period_ns, Ordering::Relaxed);
-                                {
-                                    let mut fac = shared.lock_core();
-                                    fac.set_interrupt_hz((1_000_000_000 / normal_period_ns).max(1));
-                                }
+                                shared
+                                    .core
+                                    .lock()
+                                    .set_interrupt_hz(interrupt_hz(normal_period_ns));
                                 if let Some(start) = degraded_since.take() {
                                     out.degraded_window_ns.record(now.saturating_sub(start));
                                 }
@@ -636,17 +637,9 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
     std::thread::sleep(config.host.duration);
     shared.stop.store(true, Ordering::Relaxed);
     let measured_ns = shared.clock.now_ns().saturating_sub(started).max(1);
-    let sup = supervisor.join().unwrap_or_else(|_| SupervisorOut {
-        scans: 0,
-        detections: 0,
-        detect_age_ns: HdrHistogram::new(bits),
-        restarts: 0,
-        recoveries: 0,
-        giveups: 0,
-        degraded_windows: 0,
-        degraded_window_ns: HdrHistogram::new(bits),
-        lane_outs: Vec::new(),
-    });
+    let sup = supervisor
+        .join()
+        .unwrap_or_else(|_| SupervisorOut::new(bits));
 
     let mut worker_outs = Vec::new();
     let mut idle_outs = Vec::new();
@@ -654,10 +647,8 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
     // Superseded generations are in `lane_outs` too: what a wedged thread
     // fired before its restart still counts.
     let mut degraded_delay_ns = HdrHistogram::new(bits);
-    let mut panics_caught = 0u64;
     for (class, t) in sup.lane_outs {
         degraded_delay_ns.merge(&t.fires.degraded_delay);
-        panics_caught += t.fires.panics;
         match class {
             LaneClass::Worker => worker_outs.push(t),
             LaneClass::IdlePoll => idle_outs.push(t),
@@ -680,7 +671,8 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
     );
     GuardReport {
         degraded_delay_ns,
-        panics_caught,
+        // The dispatch boundary notes each panic it catches in the core.
+        panics_caught: host_report.stats.handler_panics,
         host: host_report,
         lanes: lanes_total,
         scans: sup.scans,
@@ -694,11 +686,10 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
         giveups: sup.giveups,
         degraded_windows: sup.degraded_windows,
         degraded_window_ns: sup.degraded_window_ns,
-        envelope_ns: degraded_period_ns
-            .saturating_add(u64::try_from(config.envelope_slack.as_nanos()).unwrap_or(u64::MAX)),
+        envelope_ns: degraded_period_ns.saturating_add(nanos(config.envelope_slack)),
         lock_recoveries: lock_recoveries().saturating_sub(lock_recoveries_before),
-        stall_window_ns: u64::try_from(config.stall_window.as_nanos()).unwrap_or(u64::MAX),
-        scan_period_ns: u64::try_from(config.scan_period.as_nanos()).unwrap_or(u64::MAX),
+        stall_window_ns: nanos(config.stall_window),
+        scan_period_ns: nanos(config.scan_period),
     }
 }
 

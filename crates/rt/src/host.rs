@@ -20,25 +20,24 @@
 //! to ~10 ms scheduler stalls, far beyond what the simulator's linear tick
 //! histograms represent.
 //!
-//! The check fast path mirrors the paper's cost argument: a trigger-state
-//! check is one clock read plus one compare against a cached
-//! earliest-deadline word; the shared core lock is taken only when an
-//! event is actually due, so check cost stays at probe scale instead of
-//! being dominated by cross-thread lock contention. A due batch of any
-//! size takes the lock twice — to poll it out, to re-arm all of it — and
-//! each handler in between is a procedure call on lane-local state.
+//! The lanes share the core through `crate::shared`: a check that finds
+//! nothing due is one clock read plus one compare and takes no lock, and a
+//! due batch of any size takes the lock twice — each handler in between is
+//! a procedure call on lane-local state.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
-use st_core::{Config, Expired, FireOrigin, SoftTimerCore};
+use st_core::{Expired, FireOrigin};
 use st_stats::HdrHistogram;
 use st_trace::json::ObjectBuilder;
 
 use crate::chaos::{ChaosState, FaultClock};
+use crate::clock::nanos;
 use crate::guard::Heartbeat;
+pub use crate::shared::lock_recoveries;
+use crate::shared::{Periodic, SharedCore};
 
 /// A real trigger source in the host runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,6 +113,12 @@ pub(crate) struct PeriodicEvent {
     pub(crate) period_ns: u64,
 }
 
+impl Periodic for PeriodicEvent {
+    fn period_ns(&self) -> Option<u64> {
+        Some(self.period_ns)
+    }
+}
+
 /// Per-origin fire accounting of one lane thread, carried in its
 /// [`ThreadOut`]: a saturated lane fires millions of events a second, so
 /// recording one must not synchronise with anything. The lanes'
@@ -125,8 +130,6 @@ pub(crate) struct FireAccum {
     /// Fire delays recorded while the supervisor held the runtime in
     /// degraded mode — the population the predicted envelope bounds.
     pub(crate) degraded_delay: HdrHistogram,
-    /// Injected handler panics caught at the dispatch boundary.
-    pub(crate) panics: u64,
 }
 
 impl FireAccum {
@@ -136,32 +139,14 @@ impl FireAccum {
             backup_delay: HdrHistogram::new(bits),
             handler_runs: 0,
             degraded_delay: HdrHistogram::new(bits),
-            panics: 0,
         }
     }
 }
 
-/// The facility and its lock on cache lines of their own (128 bytes: x86
-/// prefetches lines in adjacent pairs). Every fire writes here — the lock
-/// word, `last_seen`, the stats — while every lane reads `Shared`'s other
-/// fields (the clock's, `earliest`, `stop`) on every loop iteration; on a
-/// shared line each lock acquisition would first wait for the line to
-/// come back from the other lanes' cores, ~100 ns added to every paced
-/// fire's delay on this machine.
-#[repr(align(128))]
-struct CoreCell(Mutex<SoftTimerCore<PeriodicEvent>>);
-
 pub(crate) struct Shared {
-    core: CoreCell,
-    /// Cached earliest armed deadline (ns; `u64::MAX` when none). The
-    /// trigger-check fast path compares the clock against this atomic and
-    /// only takes the core lock when an event is actually due — the
-    /// paper's point that a trigger check is a read + compare, not a
-    /// synchronized queue operation. Refreshed under the core lock at the
-    /// end of every hold that mutated the queue (after a poll, after a
-    /// batch's re-arm pass); a stale value only delays one fire to the
-    /// next check or backup sweep, which the facility already tolerates.
-    pub(crate) earliest: AtomicU64,
+    /// The facility every lane checks, reached only through
+    /// [`SharedCore`]'s guard and its cached earliest-deadline word.
+    pub(crate) core: SharedCore<PeriodicEvent>,
     /// Host clock; healthy runs use [`FaultClock::healthy`], which reads
     /// the raw clock plus one relaxed load.
     pub(crate) clock: FaultClock,
@@ -177,20 +162,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Locks the facility core, recovering (counted) from poisoning.
-    pub(crate) fn lock_core(&self) -> MutexGuard<'_, SoftTimerCore<PeriodicEvent>> {
-        lock_recover(&self.core.0)
-    }
-
-    /// Refreshes the cached earliest deadline. Call with the core lock
-    /// held (the `core` borrow proves it).
-    pub(crate) fn refresh_earliest(&self, core: &SoftTimerCore<PeriodicEvent>) {
-        self.earliest.store(
-            core.earliest_deadline().unwrap_or(u64::MAX),
-            Ordering::Release,
-        );
-    }
-
     /// Builds the shared runtime state with the periodic workload armed,
     /// ready for lanes to start measuring. Healthy runs pass
     /// [`FaultClock::healthy`] and no chaos state.
@@ -199,15 +170,9 @@ impl Shared {
         clock: FaultClock,
         chaos: Option<ChaosState>,
     ) -> Arc<Shared> {
-        let backup_period_ns =
-            u64::try_from(config.backup_period.as_nanos().max(1)).unwrap_or(u64::MAX);
+        let backup_period_ns = nanos(config.backup_period).max(1);
         let shared = Arc::new(Shared {
-            core: CoreCell(Mutex::new(SoftTimerCore::new(Config {
-                measure_hz: 1_000_000_000,
-                interrupt_hz: (1_000_000_000 / backup_period_ns).max(1),
-                record_stats: true,
-            }))),
-            earliest: AtomicU64::new(u64::MAX),
+            core: SharedCore::new(backup_period_ns),
             clock,
             stop: AtomicBool::new(false),
             backup_period_ns: AtomicU64::new(backup_period_ns),
@@ -216,47 +181,19 @@ impl Shared {
         });
         // Arm the periodic workload before any thread starts measuring.
         {
-            let mut core = shared.lock_core();
+            let mut core = shared.core.lock();
             let now = shared.clock.now_ns();
             for period in &config.timer_periods {
-                let period_ns = u64::try_from(period.as_nanos()).unwrap_or(u64::MAX).max(1);
+                let period_ns = nanos(*period).max(1);
                 core.schedule(
                     now,
                     period_ns.saturating_sub(1),
                     PeriodicEvent { period_ns },
                 );
             }
-            shared.refresh_earliest(&core);
         }
         shared
     }
-}
-
-/// Process-wide count of poisoned-lock recoveries (see
-/// [`lock_recoveries`]).
-static LOCK_RECOVERIES: AtomicU64 = AtomicU64::new(0);
-
-/// How many times a host-runtime lock was acquired through poison
-/// recovery process-wide. A panicking handler (st-guard injects them
-/// deliberately) poisons whichever mutex it unwound through; the runtime
-/// keeps going because facility state stays consistent under its own
-/// methods — but recovery must be audible, not silent, so each one is
-/// counted here and in the `rt.lock_recoveries` trace counter.
-pub fn lock_recoveries() -> u64 {
-    LOCK_RECOVERIES.load(Ordering::Relaxed)
-}
-
-/// Locks a mutex, recovering the data if a previous holder panicked (same
-/// rationale as `st_core::rt`: state kept consistent by its own methods).
-/// Recoveries are counted — see [`lock_recoveries`].
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| {
-        LOCK_RECOVERIES.fetch_add(1, Ordering::Relaxed);
-        if st_trace::active() {
-            st_trace::count("rt.lock_recoveries", 1);
-        }
-        poisoned.into_inner()
-    })
 }
 
 /// What one lane thread (worker, idle poller or backup sweep) brings home.
@@ -378,38 +315,10 @@ pub struct HostReport {
     pub stats: st_core::FacilityStats,
 }
 
-/// Drift-free next deadline of a periodic event that was due at `due` and
-/// is re-armed at `now`: one period after `due`, or, when the run fell
-/// behind, the first point of the `due + k * period_ns` grid strictly
-/// after `now` (missed periods are skipped arithmetically, not fired in a
-/// burst). Saturates at the end of time instead of wrapping.
-fn next_due(due: u64, period_ns: u64, now: u64) -> u64 {
-    let period = period_ns.max(1);
-    let next = due.saturating_add(period);
-    if next > now {
-        return next;
-    }
-    let skipped = ((now - next) / period).saturating_add(1);
-    next.saturating_add(skipped.saturating_mul(period))
-}
-
-/// Runs the handler of one fired event and accounts it in the lane's
+/// The handler of one fired event: accounts the fire in the lane's
 /// accumulator; touches nothing shared but the `degraded` flag.
 fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum) {
     let delay = ev.delay();
-    // The handler body. The measured workload's real handler is trivial;
-    // a chaos run makes some of them panic, and the dispatch boundary
-    // must contain that to the one fire — not the lane, not the runtime.
-    let panicked = match &shared.chaos {
-        Some(chaos) if chaos.should_panic() => {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                panic!("injected handler panic (due {})", ev.due)
-            }));
-            debug_assert!(r.is_err());
-            true
-        }
-        _ => false,
-    };
     match ev.origin {
         FireOrigin::TriggerState => acc.trigger_delay.record(delay),
         FireOrigin::BackupInterrupt => acc.backup_delay.record(delay),
@@ -418,9 +327,6 @@ fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum
         acc.degraded_delay.record(delay);
     }
     acc.handler_runs += 1;
-    if panicked {
-        acc.panics += 1;
-    }
     // Sealed telemetry: visible to a trace/scope session on the
     // dispatching thread, a no-op otherwise (same contract as the sim).
     if st_trace::active() {
@@ -436,6 +342,13 @@ fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum
     match ev.origin {
         FireOrigin::TriggerState => st_scope::fire_delay("rt.host.trigger", delay, 0),
         FireOrigin::BackupInterrupt => st_scope::fire_delay("rt.host.backup", delay, 0),
+    }
+    // The measured workload's real handler body is empty; a chaos run
+    // makes some of them panic, last, so the fire is fully accounted. The
+    // dispatch boundary in `fire_due` must contain that to the one fire —
+    // not the lane, not the runtime.
+    if shared.chaos.as_ref().is_some_and(ChaosState::should_panic) {
+        panic!("injected handler panic (due {})", ev.due);
     }
 }
 
@@ -520,60 +433,18 @@ impl LaneCtl {
     }
 }
 
-/// One trigger-state check (or backup sweep). The check fast path is a
-/// clock read plus a compare against the cached earliest deadline; the
-/// core lock is taken only when an event is due (or on a sweep). A due
-/// batch costs two lock holds and two clock reads whatever its size: it
-/// is polled out under the lock, every handler runs with no lock held
-/// against the lane's own `acc`, and one pass under the lock re-arms the
-/// whole batch from a single post-handler clock read. Returns the number
-/// of events fired.
+/// One trigger-state check (or backup sweep) of a lane: the shared
+/// [`SharedCore::fire_due`] pass on the host clock, every handler run
+/// against the lane's own `acc`. Returns the number of events fired.
 pub(crate) fn trigger_check(
     shared: &Shared,
     buf: &mut Vec<Expired<PeriodicEvent>>,
     sweep: bool,
     acc: &mut FireAccum,
 ) -> usize {
-    if !sweep {
-        let due = shared.earliest.load(Ordering::Acquire);
-        if shared.clock.now_ns() < due {
-            return 0;
-        }
-    }
-    buf.clear();
-    {
-        let mut core = shared.lock_core();
-        let now = shared.clock.now_ns();
-        if sweep {
-            core.interrupt_sweep(now, buf);
-        } else {
-            core.poll(now, buf);
-        }
-        shared.refresh_earliest(&core);
-    }
-    let n = buf.len();
-    if n == 0 {
-        return 0;
-    }
-    let panics_before = acc.panics;
-    for ev in buf.iter() {
-        run_handler(shared, ev, acc);
-    }
-    // `now` is the paper's schedule time S of every re-arm in the batch:
-    // read after the last handler, so each new deadline is past the
-    // moment its handler finished.
-    let now = shared.clock.now_ns();
-    let mut core = shared.lock_core();
-    for _ in panics_before..acc.panics {
-        core.note_handler_panic();
-    }
-    for ev in buf.drain(..) {
-        let next = next_due(ev.due, ev.payload.period_ns, now);
-        // `schedule(now, delta)` arms deadline `now + delta + 1`.
-        core.schedule(now, next.saturating_sub(now).saturating_sub(1), ev.payload);
-    }
-    shared.refresh_earliest(&core);
-    n
+    let now_ns = || shared.clock.now_ns();
+    let handler = |ev: &mut Expired<PeriodicEvent>| run_handler(shared, ev, acc);
+    shared.core.fire_due(now_ns, sweep, buf, handler)
 }
 
 /// The measuring loop shared by workers and the idle poller: do
@@ -648,8 +519,8 @@ pub fn run(config: &HostConfig) -> HostReport {
     let bits = config.sub_bucket_bits;
     let shared = Shared::build(config, FaultClock::healthy(), None);
 
-    let work_ns = u64::try_from(config.task_work.as_nanos()).unwrap_or(u64::MAX);
-    let pause_ns = u64::try_from(config.idle_pause.as_nanos()).unwrap_or(u64::MAX);
+    let work_ns = nanos(config.task_work);
+    let pause_ns = nanos(config.idle_pause);
     let mut worker_handles = Vec::new();
     for i in 0..config.workers {
         let s = Arc::clone(&shared);
@@ -714,56 +585,34 @@ pub(crate) fn finish_report(
     idle_outs: Vec<ThreadOut>,
     backup_outs: Vec<ThreadOut>,
 ) -> HostReport {
-    let secs = duration_ns as f64 / 1e9;
-    let mut task_return = SourceReport {
-        source: TriggerSource::TaskReturn,
-        checks: 0,
-        density_hz: 0.0,
-        intervals: HdrHistogram::new(bits),
-    };
-    let mut facility_ns_total = 0u64;
-    let mut busy_ns_total = 0u64;
-    let mut check_cost = HdrHistogram::new(bits);
-    for out in &worker_outs {
-        task_return.checks += out.checks;
-        task_return.intervals.merge(&out.intervals);
-        check_cost.merge(&out.check_ns);
-        facility_ns_total += out.facility_ns;
-        busy_ns_total += out.busy_ns;
-    }
-    task_return.density_hz = task_return.checks as f64 / secs;
-
-    let idle_poll = (!idle_outs.is_empty()).then(|| {
-        let mut idle = SourceReport {
-            source: TriggerSource::IdlePoll,
+    let source_report = |source, outs: &[ThreadOut]| {
+        let mut report = SourceReport {
+            source,
             checks: 0,
             density_hz: 0.0,
             intervals: HdrHistogram::new(bits),
         };
-        for out in &idle_outs {
-            idle.checks += out.checks;
-            idle.intervals.merge(&out.intervals);
-            check_cost.merge(&out.check_ns);
-            facility_ns_total += out.facility_ns;
-            busy_ns_total += out.busy_ns;
+        for out in outs {
+            report.checks += out.checks;
+            report.intervals.merge(&out.intervals);
         }
-        idle.density_hz = idle.checks as f64 / secs;
-        idle
-    });
-
-    let mut backup_sweep = SourceReport {
-        source: TriggerSource::BackupSweep,
-        checks: 0,
-        density_hz: 0.0,
-        intervals: HdrHistogram::new(bits),
+        report.density_hz = report.checks as f64 / (duration_ns as f64 / 1e9);
+        report
     };
-    let mut backup_facility_ns = 0u64;
-    for out in &backup_outs {
-        backup_sweep.checks += out.checks;
-        backup_sweep.intervals.merge(&out.intervals);
-        backup_facility_ns += out.facility_ns;
+    let task_return = source_report(TriggerSource::TaskReturn, &worker_outs);
+    let idle_poll =
+        (!idle_outs.is_empty()).then(|| source_report(TriggerSource::IdlePoll, &idle_outs));
+    let backup_sweep = source_report(TriggerSource::BackupSweep, &backup_outs);
+    let backup_facility_ns: u64 = backup_outs.iter().map(|out| out.facility_ns).sum();
+
+    let mut facility_ns_total = 0u64;
+    let mut busy_ns_total = 0u64;
+    let mut check_cost = HdrHistogram::new(bits);
+    for out in worker_outs.iter().chain(&idle_outs) {
+        check_cost.merge(&out.check_ns);
+        facility_ns_total += out.facility_ns;
+        busy_ns_total += out.busy_ns;
     }
-    backup_sweep.density_hz = backup_sweep.checks as f64 / secs;
 
     // Every lane thread of every generation dispatched into its own
     // accumulator; the run's fires are their sum.
@@ -775,7 +624,7 @@ pub(crate) fn finish_report(
         fired_backup.merge(&out.fires.backup_delay);
         handler_runs += out.fires.handler_runs;
     }
-    let stats = shared.lock_core().stats().clone();
+    let stats = shared.core.lock().stats().clone();
     let fired_total = fired_trigger.count() + fired_backup.count();
     HostReport {
         duration_ns,
@@ -958,28 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn next_due_stays_on_the_grid_and_strictly_ahead() {
-        // On time: one period after the previous deadline.
-        assert_eq!(next_due(1_000, 100, 1_050), 1_100);
-        // `next == now` is not in the future yet: skip one period.
-        assert_eq!(next_due(1_000, 100, 1_100), 1_200);
-        // One whole period behind, then k periods and a bit.
-        assert_eq!(next_due(1_000, 100, 1_200), 1_300);
-        for k in [1u64, 2, 7, 1_000] {
-            let now = 1_100 + k * 100 + 37;
-            assert_eq!(next_due(1_000, 100, now), 1_100 + (k + 1) * 100);
-        }
-        // Degenerate periods: 1 ns, and 0 treated as 1.
-        assert_eq!(next_due(10, 1, 500), 501);
-        assert_eq!(next_due(10, 0, 500), 501);
-        // Within one period of the end of time: saturated, never wrapped,
-        // whether the clock is early or itself at the end.
-        assert_eq!(next_due(u64::MAX - 5, 100, 17), u64::MAX);
-        assert_eq!(next_due(u64::MAX - 5, 100, u64::MAX), u64::MAX);
-        assert_eq!(next_due(0, u64::MAX / 2 + 1, u64::MAX - 1), u64::MAX);
-    }
-
-    #[test]
     fn a_due_batch_costs_one_poll_and_one_rearm_pass() {
         const N: usize = 64;
         let period = Duration::from_micros(50);
@@ -992,12 +819,12 @@ mod tests {
         let mut acc = FireAccum::new(config.sub_bucket_bits);
         let mut buf = Vec::new();
         // Armed from one clock read: all N share their deadlines for ever.
-        let mut due = shared.earliest.load(Ordering::Acquire);
+        let mut due = shared.core.earliest();
         for (sweep, checks, sweeps) in [(false, 1, 0), (true, 2, 1)] {
             let before = shared.clock.spin_until(due);
             assert_eq!(trigger_check(&shared, &mut buf, sweep, &mut acc), N);
             assert!(buf.is_empty());
-            let core = shared.lock_core();
+            let core = shared.core.lock();
             assert_eq!(core.pending(), N);
             assert_eq!(core.stats().checks, checks, "one poll per batch");
             assert_eq!(core.stats().backup_sweeps, sweeps);
@@ -1006,7 +833,7 @@ mod tests {
                 (N as u64) * (checks + 1),
                 "one re-arm per fire, none twice"
             );
-            let next = shared.earliest.load(Ordering::Acquire);
+            let next = shared.core.earliest();
             assert_eq!(Some(next), core.earliest_deadline());
             assert!(next > before, "re-armed into the past: {next} <= {before}");
             assert_eq!((next - due) % period_ns, 0, "off the drift-free grid");
@@ -1015,10 +842,10 @@ mod tests {
         assert_eq!(acc.trigger_delay.count(), N as u64);
         assert_eq!(acc.backup_delay.count(), N as u64);
         assert_eq!(acc.handler_runs, 2 * N as u64);
-        assert_eq!((acc.panics, acc.degraded_delay.count()), (0, 0));
+        assert_eq!(acc.degraded_delay.count(), 0);
         // Every timer of the batch, not just the earliest, is past the
         // re-arm's clock read and on its grid.
-        let mut core = shared.lock_core();
+        let mut core = shared.core.lock();
         assert_eq!(core.poll(due - 1, &mut buf), 0);
         assert_eq!(core.poll(due, &mut buf), N);
         assert!(buf.iter().all(|ev| ev.due == due));
@@ -1053,34 +880,6 @@ mod tests {
             report.task_return.checks
         );
         assert_eq!(snapshot.counter("rt.host.checks.idle_poll"), 0);
-    }
-
-    #[test]
-    fn lock_recovery_is_counted_not_silent() {
-        let m = std::sync::Mutex::new(7u64);
-        let before = lock_recoveries();
-        // Poison the lock: a thread panics while holding the guard.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = m.lock().unwrap();
-            panic!("poison the lock");
-        }));
-        assert!(r.is_err());
-        assert!(m.is_poisoned());
-        // A healthy lock doesn't count.
-        let healthy = std::sync::Mutex::new(1u64);
-        drop(lock_recover(&healthy));
-        assert_eq!(lock_recoveries(), before);
-        // Recovery yields the data, still consistent, and is counted.
-        {
-            let mut g = lock_recover(&m);
-            assert_eq!(*g, 7);
-            *g = 8;
-        }
-        assert_eq!(lock_recoveries(), before + 1);
-        // The recovered mutex stays poisoned (std semantics), so every
-        // subsequent recovery is also audible.
-        drop(lock_recover(&m));
-        assert_eq!(lock_recoveries(), before + 2);
     }
 
     #[test]

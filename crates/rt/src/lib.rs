@@ -7,6 +7,13 @@
 //! - [`clock::NanoClock`] — nanosecond monotonic clock implementing
 //!   [`st_core::Clock`], so `SoftTimerCore` arithmetic runs directly in
 //!   wall-clock ns.
+//! - `shared` (crate-private) — one `SoftTimerCore` behind a mutex, its
+//!   lock-free cached earliest deadline (republished by the lock guard at
+//!   the end of every hold) and the per-batch fire pass; both runtimes
+//!   below are thin callers of it.
+//! - [`timers`] — [`RtSoftTimers`], the closure-handler runtime for real
+//!   programs: poll it from your event loop's trigger points, a backup
+//!   thread bounds the delay.
 //! - [`host`] — a worker-pool runtime whose task-return points act as
 //!   syscall-return shims, plus an idle-polling thread and a backup-sweep
 //!   thread; measures trigger-interval and fire-delay distributions per
@@ -23,9 +30,9 @@
 //!   handler panics, clock jumps) scheduled up front from the st-fault
 //!   plan's seed, so every chaos run has a seed-replayable sim twin.
 //!
-//! This is, deliberately, the **only** crate outside `core/src/rt.rs`
-//! allowed to read wall-clock time — the `no-wall-clock` lint pins host
-//! time here; the simulator stays deterministic.
+//! This is, deliberately, the **only** crate allowed to read wall-clock
+//! time or spawn threads around the facility — the `no-wall-clock` lint
+//! pins host time here; st-core and the simulator stay deterministic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +42,8 @@ pub mod clock;
 pub mod guard;
 pub mod host;
 pub mod probe;
+mod shared;
+pub mod timers;
 
 pub use chaos::{ChaosSchedule, ChaosState, FaultClock};
 pub use clock::NanoClock;
@@ -44,3 +53,4 @@ pub use guard::{
 };
 pub use host::{lock_recoveries, FireReport, HostConfig, HostReport, SourceReport, TriggerSource};
 pub use probe::Calibration;
+pub use timers::{RtConfig, RtPeriodic, RtSoftTimers};

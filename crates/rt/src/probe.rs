@@ -24,7 +24,6 @@
 //! [`Calibration::probe_retries`] so a noisy calibration is visible in
 //! the report instead of silently wrong.
 
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use st_core::{Config, Expired, SoftTimerCore};
@@ -32,7 +31,7 @@ use st_stats::HdrHistogram;
 use st_trace::json::ObjectBuilder;
 
 use crate::chaos::FaultClock;
-use crate::clock::NanoClock;
+use crate::clock::{nanos, NanoClock};
 use crate::host::{trigger_check, FireAccum, HostConfig, Shared};
 
 /// Fitted host timing constants plus wake-up precision distributions.
@@ -200,9 +199,7 @@ pub fn batch_dispatch_cost(clock: &NanoClock) -> f64 {
     let mut acc = FireAccum::new(config.sub_bucket_bits);
     let mut buf = Vec::new();
     let per_batch = min_per_iter_guarded(clock, 32, 4, &mut 0, || {
-        shared
-            .clock
-            .spin_until(shared.earliest.load(Ordering::Acquire));
+        shared.clock.spin_until(shared.core.earliest());
         let fired = trigger_check(&shared, &mut buf, false, &mut acc);
         debug_assert_eq!(fired, TIMERS);
     });
@@ -211,7 +208,7 @@ pub fn batch_dispatch_cost(clock: &NanoClock) -> f64 {
 
 /// Overshoot distribution of `thread::sleep(requested)` (ns).
 pub fn sleep_slack(clock: &NanoClock, requested: Duration, samples: usize) -> HdrHistogram {
-    let req_ns = u64::try_from(requested.as_nanos()).unwrap_or(u64::MAX);
+    let req_ns = nanos(requested);
     let mut h = HdrHistogram::new(7);
     for _ in 0..samples {
         let t0 = clock.now_ns();
@@ -224,7 +221,7 @@ pub fn sleep_slack(clock: &NanoClock, requested: Duration, samples: usize) -> Hd
 
 /// Overshoot distribution of a spin-wait past its deadline (ns).
 pub fn spin_slack(clock: &NanoClock, requested: Duration, samples: usize) -> HdrHistogram {
-    let req_ns = u64::try_from(requested.as_nanos()).unwrap_or(u64::MAX);
+    let req_ns = nanos(requested);
     let mut h = HdrHistogram::new(7);
     for _ in 0..samples {
         let t0 = clock.now_ns();

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use soft_timers::core::rt::{RtConfig, RtSoftTimers};
+use soft_timers::rt::{RtConfig, RtSoftTimers};
 
 fn main() {
     let timers = RtSoftTimers::start(RtConfig::default());
@@ -25,15 +25,16 @@ fn main() {
     );
 
     // Schedule a spread of one-shot events 50..500 µs out and record the
-    // delay past each deadline when the handler actually runs.
-    let total_delay_us = Arc::new(AtomicU64::new(0));
+    // delay past each deadline when the handler actually runs (the
+    // runtime's ticks are nanoseconds).
+    let total_delay_ns = Arc::new(AtomicU64::new(0));
     let fired = Arc::new(AtomicU64::new(0));
     const EVENTS: u64 = 64;
     for i in 0..EVENTS {
         let delta = Duration::from_micros(50 + i * 7);
         let scheduled = timers.measure_time();
-        let due = scheduled + delta.as_micros() as u64;
-        let total = total_delay_us.clone();
+        let due = scheduled + delta.as_nanos() as u64;
+        let total = total_delay_ns.clone();
         let fired = fired.clone();
         timers.schedule_in(delta, move |rt| {
             let late = rt.measure_time().saturating_sub(due);
@@ -59,7 +60,7 @@ fn main() {
     );
     println!(
         "mean delay past deadline: {:.1} us (bounded by the {} ms backup period)",
-        total_delay_us.load(Ordering::Relaxed) as f64 / EVENTS as f64,
+        total_delay_ns.load(Ordering::Relaxed) as f64 / 1e3 / EVENTS as f64,
         1000 / timers.interrupt_clock_resolution().max(1),
     );
 

@@ -14,8 +14,11 @@
 //!
 //! This crate re-exports the whole workspace:
 //!
-//! - [`core`] (`st-core`) — the facility itself, the adaptive rate pacer,
-//!   the poll-interval controller, and a real-time userspace runtime.
+//! - [`core`] (`st-core`) — the facility itself, the adaptive rate pacer
+//!   and the poll-interval controller; pure and deterministic.
+//! - [`rt`] (`st-rt`) — the facility on real threads and the wall clock:
+//!   the `RtSoftTimers` userspace runtime, the measured host runtime and
+//!   its supervisor.
 //! - [`wheel`] (`st-wheel`) — timing wheels (the facility's store).
 //! - [`sim`] (`st-sim`) — the deterministic discrete-event engine.
 //! - [`kernel`] (`st-kernel`) — the simulated-OS substrate with the
@@ -40,7 +43,7 @@
 //! use std::sync::atomic::{AtomicBool, Ordering};
 //! use std::sync::Arc;
 //! use std::time::Duration;
-//! use soft_timers::core::rt::{RtConfig, RtSoftTimers};
+//! use soft_timers::rt::{RtConfig, RtSoftTimers};
 //!
 //! let timers = RtSoftTimers::start(RtConfig::default());
 //! let fired = Arc::new(AtomicBool::new(false));
@@ -65,6 +68,7 @@ pub use st_http as http;
 pub use st_kernel as kernel;
 pub use st_net as net;
 pub use st_prof as prof;
+pub use st_rt as rt;
 pub use st_sim as sim;
 pub use st_stats as stats;
 pub use st_tcp as tcp;
