@@ -160,7 +160,7 @@ impl AdmissionController {
             p.stats.limit_max = p.stats.limit_max.max(limit);
             // st-lint: allow(no-float-in-bounds) -- observability export;
             // the limiter step above stays in integer request counts
-            st_scope::gauge(now_us, p.trace_name, limit as f64);
+            st_trace::gauge(now_us, p.trace_name, limit as f64);
             if tracing {
                 st_trace::emit(
                     st_trace::Category::Admit,

@@ -1,36 +1,15 @@
-//! Shared helpers for the benchmark suite, including the in-repo
-//! criterion-compatible harness ([`criterion`]).
+//! The perf trajectory: a fixed hot-path suite ([`suite`], timed by
+//! [`harness`], driven by the `bench-suite` binary) whose stats are
+//! frozen as `BENCH_*.json` snapshots; `scripts/perf_gate.sh` compares
+//! a fresh run against the newest snapshot and fails CI on
+//! tolerance-exceeding regressions.
 //!
-//! The benches split into two groups:
-//!
-//! - **Microbenchmarks** (`timer_structures`, `facility`, `pacing`): the
-//!   hot paths of the library — wheel insert/expire vs. the heap
-//!   baseline, the trigger-state check, pacer and poll-controller steps.
-//!   The trigger-state check benchmark substantiates the paper's claim
-//!   that checking at every trigger state is "very efficient".
-//! - **Paper regenerations** (`paper_tables`, `paper_figures`): every
-//!   table and figure of the evaluation at reduced (`Scale::Quick`)
-//!   sample counts, so `cargo bench` exercises the full reproduction
-//!   pipeline and tracks its run time.
-//! - **The perf trajectory** ([`suite`] + the `bench-suite` binary): a
-//!   fixed hot-path suite whose stats are frozen as `BENCH_*.json`
-//!   snapshots; `scripts/perf_gate.sh` compares consecutive snapshots
-//!   and fails CI on tolerance-exceeding regressions.
+//! This is the micro tier. The repo's benchmark — end-to-end workloads
+//! plus ~90 per-layer probes at 256 / 16k / 1M pending timers — is
+//! `benches/ledger` (`BENCHMARK.json`); there is no `cargo bench` tier.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod criterion;
+pub mod harness;
 pub mod suite;
-
-use st_sim::SimRng;
-
-/// Deterministic pseudo-random deadlines for timer-structure benches:
-/// mostly near-future (soft-timer-like), some far.
-pub fn deadline_stream(seed: u64, horizon: u64) -> impl FnMut(u64) -> u64 {
-    let mut rng = SimRng::seed(seed);
-    move |now: u64| now + 1 + rng.range_u64(0, horizon)
-}
-
-/// The standard pending-set sizes benchmarked.
-pub const PENDING_SIZES: [usize; 3] = [64, 1_024, 16_384];

@@ -5,14 +5,13 @@
 //! on: the per-trigger check must stay near a clock read (section 4),
 //! the wheel operations bound facility overhead under churn (section
 //! 3), the pacer release is the per-packet cost of rate-based clocking
-//! (section 5.3), the sealed st-trace probe must vanish when no session
+//! (section 5.3), the sealed st-trace probes must vanish when no session
 //! records, the st-prof sample must stay cheap enough to run from
-//! trigger states, and the st-scope sample tick / fire-delay
-//! attribution must stay far below the sampling period (with the
-//! disabled probe sealed to a thread-local read, like st-trace's).
+//! trigger states, and the timeline sample tick / fire-delay
+//! attribution must stay far below the sampling period.
 //!
-//! [`run_suite`] collects the numbers through the shim's
-//! [`measure`](crate::criterion::measure) hook, [`to_json`] freezes
+//! [`run_suite`] collects the numbers through
+//! [`measure`](crate::harness::measure), [`to_json`] freezes
 //! them in the `st-bench-v1` schema (validated by `st-trace`'s JSON
 //! validator before writing), and [`compare`] parses two snapshots and
 //! flags tolerance-exceeding regressions — `scripts/perf_gate.sh`
@@ -24,12 +23,12 @@ use st_core::pacer::{Pacer, PacerConfig};
 use st_kernel::softclock::SoftClock;
 use st_kernel::trigger::TriggerSource;
 use st_prof::Sampler;
-use st_scope::{ExecLedger, ScopeConfig, ScopeSession};
+use st_scope::ExecLedger;
 use st_sim::{SimDuration, SimTime};
 use st_trace::json::{self, ObjectBuilder, Value};
 use st_wheel::{HeapQueue, TimerQueue, TimingWheel};
 
-use crate::criterion::measure;
+use crate::harness::measure;
 
 /// Schema tag written into every snapshot; bump on breaking change.
 pub const SCHEMA: &str = "st-bench-v1";
@@ -130,6 +129,24 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
         measure(n, |b| {
             let mut w = WheelCycle::new(HeapQueue::new());
             b.iter(|| w.cycle())
+        }),
+    ));
+
+    // The idle-system case at the queue itself: a 1 ms jump with nothing
+    // due. The facility's cached earliest deadline keeps embeddings off
+    // this path (st-ledger's `wheel.empty_advance_ratio`), so this is
+    // the one place its cost — occupied buckets only, not ticks — shows.
+    out.push(stat(
+        "wheel.sparse_advance",
+        measure(n, |b| {
+            let mut q: TimingWheel<()> = TimingWheel::new();
+            q.schedule(u64::MAX / 2, ());
+            let mut now = 0;
+            let mut fired = Vec::new();
+            b.iter(|| {
+                now += 1_000;
+                q.advance(std::hint::black_box(now), &mut fired);
+            });
         }),
     ));
 
@@ -342,32 +359,35 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
         }),
     ));
 
-    // Sealed st-scope probe: no session active, so gauging a point must
-    // cost the same thread-local read and branch as the trace probe.
+    // Sealed series probe: the same sealed check as `trace.sealed_noop_emit`
+    // under the series view's three-argument signature (no `Event` to
+    // build), so gauging a point must cost the same thread-local read and
+    // branch. Both keys keep the names they were frozen under, when the
+    // series view was st-scope's own session.
     out.push(stat(
         "scope.sealed_noop_emit",
         measure(n, |b| {
             assert!(
-                !st_scope::active(),
-                "sealed-probe bench needs no active scope session"
+                !st_trace::active(),
+                "sealed-probe bench needs no active session"
             );
             let mut tick = 0u64;
             b.iter(|| {
                 tick += 1;
-                st_scope::gauge(std::hint::black_box(tick), "bench.probe", 1.0);
+                st_trace::gauge(std::hint::black_box(tick), "bench.probe", 1.0);
             });
         }),
     ));
 
-    // st-scope sample tick: the body of the periodic sampling soft-timer
-    // event — snapshot the live counter registry, flush deltas and
+    // Timeline sample tick: the body of the periodic sampling soft-timer
+    // event — difference the session's counters, flush the deltas and
     // observation-window quantiles into the timeline. Paid once per
     // sampling period (1 ms at 1 kHz), so it must stay far below the
     // period for the CPU share to stay negligible.
     out.push(stat(
         "scope.sample_tick",
         measure(n, |b| {
-            let trace = st_trace::TraceSession::start(st_trace::TraceConfig::default());
+            let session = st_trace::TraceSession::start(st_trace::TraceConfig::default());
             for name in [
                 "bench.rx",
                 "bench.tx",
@@ -380,20 +400,18 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
             ] {
                 st_trace::count(name, 1);
             }
-            let scope = ScopeSession::start(ScopeConfig::default());
             let mut tick = 0u64;
             b.iter(|| {
                 tick += 1_000;
                 st_trace::count("bench.completed", 3);
-                st_scope::observe("bench.latency_us", 1_250.0);
-                st_scope::sample(std::hint::black_box(tick));
+                st_trace::observe_window("bench.latency_us", 1_250.0);
+                st_trace::sample(std::hint::black_box(tick));
             });
-            drop(scope);
-            drop(trace);
+            drop(session);
         }),
     ));
 
-    // st-scope fire-delay attribution: what one late fire costs the
+    // Fire-delay attribution: what one late fire costs the
     // world — record the handler's execution span, split the lateness
     // window against the ledger's overhead union, bank the decomposition
     // on the source's waterfall lane, and prune history that can no
@@ -401,7 +419,7 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
     out.push(stat(
         "scope.delay_attribution",
         measure(n, |b| {
-            let scope = ScopeSession::start(ScopeConfig::default());
+            let session = st_trace::TraceSession::start(st_trace::TraceConfig::default());
             let mut ledger = ExecLedger::new();
             let mut due = 1_000u64;
             b.iter(|| {
@@ -409,12 +427,12 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
                 ledger.note(start_ns, start_ns + 4_450);
                 let fired = due + 9;
                 let (wait, cascade) = ledger.split(std::hint::black_box(due), fired);
-                st_scope::fire_delay("bench-lane", wait, cascade);
+                st_trace::fire_delay("bench-lane", wait, cascade);
                 ledger.prune(start_ns.saturating_sub(64_000));
                 due = fired + 91;
                 wait + cascade
             });
-            drop(scope);
+            drop(session);
         }),
     ));
 
@@ -484,6 +502,30 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
         samples.sort_by(f64::total_cmp);
         samples
     }));
+
+    // The two quick-scale paper regenerations st-ledger's
+    // `experiments.*_s` probes do not cover: Figure 5's windowed medians
+    // and the CPU-scaling study, one whole run per iteration.
+    out.push(stat(
+        "experiments.fig5_quick",
+        measure(n, |b| {
+            let mut seed = 0;
+            b.iter(|| {
+                seed += 1;
+                st_experiments::fig5::run(st_experiments::Scale::Quick, seed)
+            });
+        }),
+    ));
+    out.push(stat(
+        "experiments.scaling_quick",
+        measure(n, |b| {
+            let mut seed = 0;
+            b.iter(|| {
+                seed += 1;
+                st_experiments::scaling::run(st_experiments::Scale::Quick, seed)
+            });
+        }),
+    ));
 
     // st-lint full-workspace pass: lex, parse, symbol tables, call graph,
     // and all three dataflow analyses over every workspace source,
@@ -698,6 +740,7 @@ mod tests {
         for expect in [
             "wheel.hashed.schedule_fire_cancel",
             "wheel.heap.schedule_fire_cancel",
+            "wheel.sparse_advance",
             "facility.poll_not_due",
             "rt.timers.run_pending_idle",
             "kernel.trigger_check",
@@ -713,6 +756,8 @@ mod tests {
             "guard.heartbeat_beat",
             "guard.supervisor_scan",
             "rt.host.batch_dispatch",
+            "experiments.fig5_quick",
+            "experiments.scaling_quick",
             "lint.full_workspace",
         ] {
             assert!(names.contains(&expect), "missing suite entry {expect}");

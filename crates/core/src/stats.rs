@@ -69,7 +69,7 @@ impl FacilityStats {
     /// Exact integer sum of every recorded fire delay, in ticks.
     ///
     /// This is the reconciliation anchor for external attribution: a
-    /// layer that decomposes each fire's lateness (st-scope's waterfall)
+    /// layer that decomposes each fire's lateness (st-trace's waterfall)
     /// must produce components that sum back to precisely this value —
     /// no float summary stands between the two sides.
     pub fn delay_sum_ticks(&self) -> u64 {

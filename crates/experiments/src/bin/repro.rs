@@ -12,10 +12,11 @@
 //! `--json PATH` writes one JSON object per experiment (`-` = stdout,
 //! suppressing the text report); `--trace DIR` records the run with
 //! `st-trace` and exports `chrome_trace.json` (load it in Perfetto),
-//! `metrics.jsonl` and `summary.txt`; `--timeline DIR` records with
-//! `st-scope` and exports `timeline.jsonl` (time-series + fire-delay
-//! waterfall; observation only, so `--json` output is byte-identical
-//! with and without it). See EXPERIMENTS.md for all three schemas.
+//! `metrics.jsonl` and `summary.txt`; `--timeline DIR` turns on the
+//! same session's series view and exports `timeline.jsonl` (time series
+//! and fire-delay waterfall; observation only, so `--json` output is
+//! byte-identical with and without it). See EXPERIMENTS.md for all
+//! three schemas.
 
 #![forbid(unsafe_code)]
 
@@ -81,7 +82,7 @@ fn main() {
                      --list          print the experiment catalog with metric keys and exit\n\
                      --json PATH     one JSON object per experiment; '-' writes to stdout and suppresses the text report\n\
                      --trace DIR     record with st-trace; writes chrome_trace.json, metrics.jsonl, summary.txt\n\
-                     --timeline DIR  record with st-scope; writes timeline.jsonl (series + fire-delay waterfall)",
+                     --timeline DIR  sample time series while running; writes timeline.jsonl (series + fire-delay waterfall)",
                     names.join(" ")
                 );
                 return;
@@ -108,25 +109,20 @@ fn main() {
     let mut json_lines: Vec<String> = Vec::new();
     let collect_json = json_path.is_some();
 
-    let trace_session = trace_dir.as_ref().map(|dir| {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("trace dir: {e}")));
-        TraceSession::start(TraceConfig { capacity: 1 << 20 })
-    });
-    // `--timeline` samples counter deltas out of the live st-trace
-    // registry; when `--trace` didn't start a session, run an internal
-    // one purely to feed the registry (it is dropped, never exported).
-    let scope_session = timeline_dir.as_ref().map(|dir| {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("timeline dir: {e}")));
-        let counters = if trace_session.is_none() {
-            Some(TraceSession::start(TraceConfig { capacity: 1 << 12 }))
-        } else {
-            None
-        };
-        let session = st_scope::ScopeSession::start(st_scope::ScopeConfig {
-            series_capacity: 1 << 13,
-        });
-        (session, counters)
-    });
+    // One session serves both flags: `--trace` sizes the event ring for
+    // a whole run (without it the ring only has to exist beside the
+    // registry the sampler differences), `--timeline` turns the series
+    // view on (without it worlds are not observed, so a trace records
+    // exactly the run it would have been unobserved).
+    for dir in trace_dir.iter().chain(&timeline_dir) {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
+    }
+    let config = TraceConfig {
+        capacity: trace_dir.as_ref().map_or(1 << 12, |_| 1 << 20),
+        series_capacity: timeline_dir.as_ref().map_or(0, |_| 1 << 13),
+    };
+    let session =
+        (trace_dir.is_some() || timeline_dir.is_some()).then(|| TraceSession::start(config));
 
     if !json_to_stdout {
         println!(
@@ -336,43 +332,34 @@ fn main() {
         }
     }
 
-    if let (Some(session), Some(dir)) = (trace_session, trace_dir.as_ref()) {
-        let snap = session.finish();
-        let chrome = snap.chrome_trace_json();
-        json::validate(&chrome)
-            .unwrap_or_else(|e| die(&format!("internal error: invalid chrome trace: {e}")));
-        let jsonl = snap.metrics_jsonl();
-        for line in jsonl.lines() {
-            json::validate(line)
-                .unwrap_or_else(|e| die(&format!("internal error: invalid metrics line: {e}")));
-        }
-        let write = |name: &str, body: &str| {
-            let path = dir.join(name);
-            std::fs::write(&path, body)
-                .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
-            eprintln!("wrote {}", path.display());
-        };
-        write("chrome_trace.json", &chrome);
-        write("metrics.jsonl", &jsonl);
-        write("summary.txt", &snap.summary());
-    }
-
-    if let (Some((session, counters)), Some(dir)) = (scope_session, timeline_dir.as_ref()) {
-        let report = session.finish();
-        drop(counters);
-        // `to_jsonl` validates every line itself; re-validate here so a
-        // writer bug fails at the exporter with a path in the message.
-        let lines = st_scope::to_jsonl(&report);
-        for line in &lines {
-            json::validate(line)
-                .unwrap_or_else(|e| die(&format!("internal error: invalid timeline line: {e}")));
-        }
-        let path = dir.join("timeline.jsonl");
-        let mut body = lines.join("\n");
-        body.push('\n');
+    let Some(snap) = session.map(TraceSession::finish) else {
+        return;
+    };
+    let write = |dir: &std::path::Path, name: &str, body: &str| {
+        let path = dir.join(name);
         std::fs::write(&path, body)
             .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
         eprintln!("wrote {}", path.display());
+    };
+    // The exporters validate what they can themselves; re-validate here
+    // so a writer bug fails with the artifact's name in the message.
+    let check = |what: &str, text: &str| {
+        json::validate(text)
+            .unwrap_or_else(|e| die(&format!("internal error: invalid {what}: {e}")))
+    };
+    if let Some(dir) = trace_dir.as_ref() {
+        let chrome = snap.chrome_trace_json();
+        check("chrome trace", &chrome);
+        let jsonl = snap.metrics_jsonl();
+        jsonl.lines().for_each(|line| check("metrics line", line));
+        write(dir, "chrome_trace.json", &chrome);
+        write(dir, "metrics.jsonl", &jsonl);
+        write(dir, "summary.txt", &snap.summary());
+    }
+    if let Some(dir) = timeline_dir.as_ref() {
+        let lines = snap.timeline_jsonl();
+        lines.iter().for_each(|line| check("timeline line", line));
+        write(dir, "timeline.jsonl", &(lines.join("\n") + "\n"));
     }
 }
 

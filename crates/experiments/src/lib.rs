@@ -30,7 +30,7 @@
 //! | [`fault_matrix`] | fault injection: firing bound under clock/interrupt/NIC/callback/wire/overload faults (extension) |
 //! | [`latency`] | packet latency on an idle machine across policies (extension) |
 //! | [`trace_overhead`] | st-trace self-measurement: tracer cost + Table-1 shares re-derived from the trace (extension) |
-//! | [`timeline`] | st-scope timeline telemetry: flash-crowd trajectory + fire-delay attribution (extension) |
+//! | [`timeline`] | timeline telemetry: flash-crowd trajectory + fire-delay attribution (extension) |
 //! | [`profiler`] | st-prof sampled attribution vs exact context accounting (extension) |
 //! | [`profiler_overhead`] | hardware-interrupt vs soft-timer sampling cost sweep (extension) |
 //! | [`rt_calibration`] | host-runtime measurement + sim↔reality CostModel calibration (extension) |
@@ -333,7 +333,7 @@ pub const CATALOG: &[ExperimentInfo] = &[
     ExperimentInfo {
         name: "timeline",
         aliases: &["scope"],
-        what: "st-scope timeline telemetry: flash-crowd trajectory + fire-delay attribution (extension)",
+        what: "timeline telemetry: flash-crowd trajectory + fire-delay attribution (extension)",
         keys: &[
             "attribution_exact",
             "soft_sampling_cpu_pct",

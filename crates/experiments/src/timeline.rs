@@ -3,13 +3,13 @@
 //! watching.
 //!
 //! The `overload` experiment reports end-of-run aggregates; this one
-//! replays its flash-crowd scenario under `st-scope` and reports the
-//! trajectory — offered-load surge, admission-limit dip and recovery,
-//! per-window goodput and p99 — sampled at 1 kHz by a periodic
-//! soft-timer event. Three rows:
+//! replays its flash-crowd scenario under a sampling session and
+//! reports the trajectory — offered-load surge, admission-limit dip and
+//! recovery, per-window goodput and p99 — sampled at 1 kHz by a
+//! periodic soft-timer event. Three rows:
 //!
 //! - `undefended`: no admission control, sampling *observed only*
-//!   ([`ScopeSampling::Off`] with an active scope session) — the
+//!   ([`ScopeSampling::Off`] under a sampling session) — the
 //!   collapse trajectory, watched for free;
 //! - `aimd-soft`: the AIMD limiter defends while a soft-timer sampler
 //!   ([`ScopeSampling::Soft`]) pays its modeled cost from trigger
@@ -34,9 +34,8 @@ use st_http::{
     SaturationSim, Scenario as Traffic, ScopeSampling, ServerKind, ServerModel,
 };
 use st_kernel::CostModel;
-use st_scope::{ScopeConfig, ScopeReport, ScopeSession};
 use st_sim::SimDuration;
-use st_trace::{TraceConfig, TraceSession};
+use st_trace::{Snapshot, TraceConfig, TraceSession};
 
 use crate::Scale;
 
@@ -59,7 +58,7 @@ pub struct TimelineRow {
     /// The facility's exact integer fire-delay total, ticks.
     pub facility_delay_ticks: u64,
     /// The run's timeline and waterfall.
-    pub report: ScopeReport,
+    pub report: Snapshot,
     /// Run length, µs (fixes the trajectory window width).
     pub duration_us: u64,
 }
@@ -113,24 +112,21 @@ fn run_row(
     cfg.arrivals = ArrivalModel::Open(open);
     cfg.scope_sampling = sampling;
 
-    // This experiment owns its sessions: suspend any caller-owned ones
+    // This experiment owns its session: suspend a caller-owned one
     // (`repro --trace` / `repro --timeline` wrap every experiment) so
     // the rows below see identical ambient state however they are
     // invoked — that is what keeps `repro --json` byte-identical with
     // and without `--timeline`.
-    let outer_trace = st_trace::suspend();
-    let outer_scope = st_scope::suspend();
-    // A trace session feeds the timeline's counter-delta series (the
-    // registry is where `http.completed` and friends accumulate).
-    let trace = TraceSession::start(TraceConfig::default());
-    let scope = ScopeSession::start(ScopeConfig {
+    let outer = st_trace::suspend();
+    // The row keeps its snapshot for the series and the lanes; nothing
+    // reads its events, so the ring need not retain them.
+    let session = TraceSession::start(TraceConfig {
+        capacity: 1,
         series_capacity: 1 << 13,
     });
     let r = SaturationSim::run(cfg);
-    let report = scope.finish();
-    drop(trace.finish());
-    st_scope::resume(outer_scope);
-    st_trace::resume(outer_trace);
+    let report = session.finish();
+    st_trace::resume(outer);
 
     TimelineRow {
         label,

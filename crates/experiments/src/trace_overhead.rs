@@ -206,6 +206,7 @@ pub fn run(scale: Scale, seed: u64) -> TraceOverhead {
     let triggers = scale.count(2_000_000).min(500_000);
     let session = TraceSession::start(TraceConfig {
         capacity: (triggers as usize) * 4 + 4_096,
+        ..TraceConfig::default()
     });
     let mut clock: SoftClock<u64> = SoftClock::new(false);
     let mut stream = TriggerStream::new(WorkloadId::StApache.spec(), seed);

@@ -1,8 +1,8 @@
 //! `repro --timeline` is observation-only: `--json` output is
 //! byte-identical with and without it — the acceptance gate for the
-//! st-scope telemetry work.
+//! timeline telemetry work.
 //!
-//! The scope session hooks the same worlds the experiments replay
+//! A sampling session hooks the same worlds the experiments replay
 //! deterministically: gauges on the NIC ring, the congestion window and
 //! the admission limits, a 1 kHz observation event in the saturation
 //! harness, fire-delay attribution on every soft-timer fire. None of it

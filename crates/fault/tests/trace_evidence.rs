@@ -9,7 +9,10 @@ use st_trace::{TraceConfig, TraceSession};
 const DURATION: u64 = 200_000;
 
 fn traced_run(plan: FaultPlan, seed: u64) -> (st_fault::FaultReport, st_trace::Snapshot) {
-    let session = TraceSession::start(TraceConfig { capacity: 1 << 20 });
+    let session = TraceSession::start(TraceConfig {
+        capacity: 1 << 20,
+        ..TraceConfig::default()
+    });
     let report = Scenario::new(plan, seed, DURATION).run();
     let snap = session.finish();
     assert_eq!(snap.dropped, 0, "ring must retain the whole run");

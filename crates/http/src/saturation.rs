@@ -67,15 +67,15 @@ pub struct SamplerLoad {
     pub freq_hz: u64,
 }
 
-/// Telemetry sampling load (the `st-scope` application).
+/// Telemetry sampling load (the timeline-sampling application).
 ///
 /// `Soft` flushes the timeline from a periodic soft-timer event (cost:
 /// `soft_dispatch + scope_sample` per fire, grid-aligned rearm like the
 /// profiler); `Hardware` dedicates a periodic hardware timer to the same
 /// job (cost: a full interrupt + handler pollution + the sample body) —
 /// the `timeline_overhead` contrast. Both also feed the ambient
-/// [`st_scope`] session when one is active. `Off` models no sampling at
-/// all; an active scope session then observes through zero-cost
+/// [`st_trace`] session when it keeps a series view. `Off` models no
+/// sampling at all; a sampling session then observes through zero-cost
 /// bookkeeping events that leave every modeled quantity untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScopeSampling {
@@ -224,7 +224,7 @@ pub struct SaturationResult {
     /// Soft-timer facility fires (every payload, every origin).
     pub facility_fires: u64,
     /// Exact integer sum of all facility fire delays, in ticks — the
-    /// reconciliation anchor for st-scope's delay-attribution waterfall.
+    /// reconciliation anchor for the session's delay-attribution waterfall.
     pub facility_delay_ticks: u64,
 }
 
@@ -243,11 +243,11 @@ enum SoftEv {
     LimitUpdate,
     /// A soft-timer-delayed 503 going out for a rejected request.
     ShedReply,
-    /// One telemetry sample ([`ScopeSampling::Soft`], the st-scope
+    /// One telemetry sample ([`ScopeSampling::Soft`], the timeline
     /// application): flush gauges and counter deltas to the timeline.
     ScopeSample,
-    /// Zero-cost observation hook: when an [`st_scope`] session is
-    /// active but no sampling is *modeled* ([`ScopeSampling::Off`]),
+    /// Zero-cost observation hook: when the [`st_trace`] session keeps
+    /// a series view but no sampling is *modeled* ([`ScopeSampling::Off`]),
     /// this event reads world state into the timeline without charging
     /// CPU, touching the RNG, or perturbing any exported metric.
     ScopeObserve,
@@ -412,7 +412,7 @@ struct SatWorld {
 
     completed: u64,
     expected_req: SimDuration,
-    /// Whether an st-scope session was active when the world was built;
+    /// Whether the session kept a series view when the world was built;
     /// all observation and attribution work is gated on this so the
     /// disabled path stays a sealed no-op.
     scope_on: bool,
@@ -473,7 +473,7 @@ impl SatWorld {
             tx_intervals: Summary::new(),
             completed: 0,
             expected_req: budget,
-            scope_on: st_scope::active(),
+            scope_on: st_trace::sampling(),
             ledger: st_scope::ExecLedger::new(),
             scope_fires: 0,
             scope_cpu: SimDuration::ZERO,
@@ -656,7 +656,7 @@ impl SatWorld {
             return;
         }
         let (wait, cascade) = self.ledger.split(ev.due, ev.fired_at);
-        st_scope::fire_delay(lane, wait, cascade);
+        st_trace::fire_delay(lane, wait, cascade);
     }
 
     fn note_soft_fire(&mut self, now: SimTime) {
@@ -670,7 +670,7 @@ impl SatWorld {
     fn run_soft_handler(&mut self, now: SimTime, ev: &Expired<SoftEv>, ctx: &mut Ctx<'_, Ev>) {
         if ev.payload == SoftEv::ScopeObserve {
             // Observation only: no cost, no fire accounting, no RNG —
-            // a run with an active scope session stays byte-identical
+            // a run under a sampling session stays byte-identical
             // to one without. Rearm on the 1 kHz observation grid.
             self.scope_observe(now);
             let lag = ev.fired_at.saturating_sub(ev.due);
@@ -789,22 +789,22 @@ impl SatWorld {
         }
     }
 
-    /// Reads the world into the ambient st-scope session: gauges for the
-    /// serving path and admission limits, plus a timeline sample pulling
-    /// counter deltas from the st-trace registry. Sealed no-op without an
-    /// active session; charges nothing to the simulation either way.
+    /// Reads the world into the ambient session's series view: gauges
+    /// for the serving path and admission limits, plus a timeline sample
+    /// differencing the session's counters. Sealed no-op without a
+    /// sampling session; charges nothing to the simulation either way.
     fn scope_observe(&mut self, now: SimTime) {
         let tick = self.soft.ticks(now);
         if let Some(open) = self.open.as_ref() {
-            st_scope::gauge(tick, "http.conns", open.conns as f64);
-            st_scope::gauge(tick, "http.queue", open.pending.len() as f64);
-            st_scope::gauge(tick, "http.pins", open.pins.len() as f64);
+            st_trace::gauge(tick, "http.conns", open.conns as f64);
+            st_trace::gauge(tick, "http.queue", open.pending.len() as f64);
+            st_trace::gauge(tick, "http.pins", open.pins.len() as f64);
         }
         // Admission limits are NOT gauged here: the controller gauges
         // `admit.limit.*` itself at each update, the only place limits
         // change, so sampling them again would only duplicate series.
-        st_scope::gauge(tick, "nic.ring", self.ring as f64);
-        st_scope::sample(tick);
+        st_trace::gauge(tick, "nic.ring", self.ring as f64);
+        st_trace::sample(tick);
     }
 
     /// CPU cost of a poll finding `found` frames: register read, per-frame
@@ -985,7 +985,7 @@ impl SatWorld {
         } else {
             open.counters.completed_late += 1;
         }
-        st_scope::observe("http.latency_us", lat_us as f64);
+        st_trace::observe_window("http.latency_us", lat_us as f64);
         st_trace::count("http.completed", 1);
         open.conns = open.conns.saturating_sub(1);
         let class = req.class;
@@ -1758,7 +1758,7 @@ mod tests {
         let cfg = || flash_cfg(29, Some(AdmissionMode::soft(LimiterKind::Aimd)));
         let bare = SaturationSim::run(cfg());
         let (observed, report) = {
-            let s = st_scope::ScopeSession::start(st_scope::ScopeConfig::default());
+            let s = st_trace::TraceSession::start(st_trace::TraceConfig::default());
             let r = SaturationSim::run(cfg());
             (r, s.finish())
         };
@@ -1769,11 +1769,23 @@ mod tests {
         assert!(report.timeline.get("http.conns").is_some());
         assert!(report.waterfall.fires() > 0);
         assert_eq!(report.waterfall.fires(), observed.facility_fires);
+        // An events-only session is not observed at all: no 1 kHz
+        // observer rides the facility, so its trace is the bare run's.
+        let events_only = st_trace::TraceSession::start(st_trace::TraceConfig {
+            series_capacity: 0,
+            ..st_trace::TraceConfig::default()
+        });
+        let traced = SaturationSim::run(cfg());
+        let snap = events_only.finish();
+        assert_eq!(traced.facility_fires, bare.facility_fires);
+        assert!(observed.facility_fires > bare.facility_fires + 1_000);
+        assert_eq!(snap.timeline.series_count(), 0);
+        assert!(snap.counter("facility.scheduled") > 0);
     }
 
     #[test]
     fn delay_attribution_reconciles_exactly_with_the_facility() {
-        let s = st_scope::ScopeSession::start(st_scope::ScopeConfig::default());
+        let s = st_trace::TraceSession::start(st_trace::TraceConfig::default());
         let mut cfg = flash_cfg(31, Some(AdmissionMode::soft(LimiterKind::Aimd)));
         cfg.scope_sampling = ScopeSampling::Soft { freq_hz: 1_000 };
         let r = SaturationSim::run(cfg);

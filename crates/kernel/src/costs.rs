@@ -57,8 +57,8 @@ pub struct CostModel {
     /// `soft_check` and `soft_dispatch`.
     pub prof_sample: SimDuration,
     /// Cost of one *telemetry sample* taken from a periodic soft-timer
-    /// event (st-scope): read a handful of registry counters, push ring
-    /// points, snapshot a windowed histogram's quantiles. More work than
+    /// event (st-trace's `sample`): read a handful of registry
+    /// counters, push ring points, snapshot a windowed histogram's quantiles. More work than
     /// a profiler sample (`prof_sample` touches one bucket; this walks a
     /// small counter set) but still strictly less than a general handler
     /// payload, so it sits between `prof_sample` and `soft_dispatch`.

@@ -38,7 +38,9 @@ pub struct FileContext {
 }
 
 /// Crates whose runs must replay byte-identically from a seed.
-const DETERMINISTIC_CRATES: [&str; 7] = ["sim", "kernel", "core", "net", "tcp", "admit", "scope"];
+const DETERMINISTIC_CRATES: [&str; 8] = [
+    "sim", "kernel", "core", "net", "tcp", "admit", "scope", "trace",
+];
 
 /// The sanctioned wall-clock home: the st-rt crate — the host runtime
 /// whose entire purpose is reading the real clock. Everything else must

@@ -9,7 +9,7 @@
 //! convention. `st-lint` walks every `.rs` file in the workspace with a
 //! hand-rolled token scanner ([`lexer`]), an item-level parser
 //! ([`parse`]), and a rule engine ([`rules`]), in the same hermetic
-//! spirit as the repo's in-tree SimRng, criterion shim, and JSON writer:
+//! spirit as the repo's in-tree SimRng, bench harness, and JSON writer:
 //! no `syn`, no registry dependencies.
 //!
 //! On top of the per-file rules, three whole-workspace analyses run over

@@ -107,8 +107,8 @@ impl RuleId {
                  block can undermine the facility's memory-safety story"
             }
             RuleId::SealedTraceOnly => {
-                "observability stays sealed: library crates emit through st-trace / \
-                 st-scope sessions only, so the zero-overhead disabled path stays \
+                "observability stays sealed: library crates emit through the one \
+                 st-trace session only, so the zero-overhead disabled path stays \
                  the only path"
             }
             RuleId::NoFloatInBounds => {
@@ -146,7 +146,7 @@ impl RuleId {
             RuleId::NoPanickingArith => "return Option/Result or use get()/checked ops",
             RuleId::ForbidUnsafeEverywhere => "add #![forbid(unsafe_code)] to the crate root",
             RuleId::SealedTraceOnly => {
-                "emit via st_trace::emit/count/observe or st_scope::gauge/observe/fire_delay"
+                "emit via st_trace::emit/count/observe or gauge/observe_window/fire_delay"
             }
             RuleId::NoFloatInBounds => "keep tick math in u64; floats only in reporting",
             RuleId::UnitTaint => {

@@ -89,7 +89,7 @@ impl Nic {
         self.rx_ring.push_back(packet);
         self.rx_delivered += 1;
         self.last_rx_at = Some(now);
-        st_scope::gauge(now.as_micros(), "net.rx_ring", self.rx_ring.len() as f64);
+        st_trace::gauge(now.as_micros(), "net.rx_ring", self.rx_ring.len() as f64);
         if st_trace::active() {
             st_trace::count("net.rx.delivered", 1);
             st_trace::emit(

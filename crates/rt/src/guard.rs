@@ -547,7 +547,7 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
                                 if st_trace::active() {
                                     st_trace::count("rt.guard.detections", 1);
                                 }
-                                st_scope::observe("rt.guard.detect_age_ns", age_ns as f64);
+                                st_trace::observe_window("rt.guard.detect_age_ns", age_ns as f64);
                             }
                             Action::Restart { lane, attempt } => {
                                 out.restarts += 1;
@@ -577,7 +577,10 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
                                 if st_trace::active() {
                                     st_trace::count("rt.guard.restarts", 1);
                                 }
-                                st_scope::observe("rt.guard.restart_attempt", attempt as f64);
+                                st_trace::observe_window(
+                                    "rt.guard.restart_attempt",
+                                    attempt as f64,
+                                );
                             }
                             Action::Recovered { .. } => out.recoveries += 1,
                             Action::GiveUp { .. } => {
@@ -597,7 +600,7 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
                                     .lock()
                                     .set_interrupt_hz(interrupt_hz(degraded_period_ns));
                                 shared.degraded.store(true, Ordering::Relaxed);
-                                st_scope::gauge(now, "rt.guard.degraded", 1.0);
+                                st_trace::gauge(now, "rt.guard.degraded", 1.0);
                             }
                             Action::Restore => {
                                 shared.degraded.store(false, Ordering::Relaxed);
@@ -611,7 +614,7 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
                                 if let Some(start) = degraded_since.take() {
                                     out.degraded_window_ns.record(now.saturating_sub(start));
                                 }
-                                st_scope::gauge(now, "rt.guard.degraded", 0.0);
+                                st_trace::gauge(now, "rt.guard.degraded", 0.0);
                             }
                         }
                     }

@@ -327,7 +327,7 @@ fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum
         acc.degraded_delay.record(delay);
     }
     acc.handler_runs += 1;
-    // Sealed telemetry: visible to a trace/scope session on the
+    // Sealed telemetry: visible to a telemetry session on the
     // dispatching thread, a no-op otherwise (same contract as the sim).
     if st_trace::active() {
         st_trace::count("rt.host.fires", 1);
@@ -340,8 +340,8 @@ fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum
         );
     }
     match ev.origin {
-        FireOrigin::TriggerState => st_scope::fire_delay("rt.host.trigger", delay, 0),
-        FireOrigin::BackupInterrupt => st_scope::fire_delay("rt.host.backup", delay, 0),
+        FireOrigin::TriggerState => st_trace::fire_delay("rt.host.trigger", delay, 0),
+        FireOrigin::BackupInterrupt => st_trace::fire_delay("rt.host.backup", delay, 0),
     }
     // The measured workload's real handler body is empty; a chaos run
     // makes some of them panic, last, so the fire is fully accounted. The
@@ -732,9 +732,9 @@ impl HostReport {
             .build()
     }
 
-    /// Pushes the measured aggregates through the sealed st-trace/st-scope
+    /// Pushes the measured aggregates through the sealed st-trace
     /// telemetry channel of the *calling* thread, so an active session's
-    /// existing export paths (chrome trace, scope JSONL) carry host data.
+    /// existing export paths (chrome trace, timeline JSONL) carry host data.
     /// A no-op when no session is active — safe to call unconditionally.
     pub fn emit_telemetry(&self) {
         if st_trace::active() {
@@ -754,8 +754,8 @@ impl HostReport {
                 st_trace::observe("rt.host.trigger_fire_delay_p99_ns", p99 as f64);
             }
         }
-        st_scope::observe("rt.host.backup_share", self.backup_share);
-        st_scope::observe("rt.host.facility_cpu_fraction", self.facility_cpu_fraction);
+        st_trace::observe_window("rt.host.backup_share", self.backup_share);
+        st_trace::observe_window("rt.host.facility_cpu_fraction", self.facility_cpu_fraction);
     }
 }
 

@@ -419,42 +419,31 @@ mod tests {
     }
 
     #[test]
-    fn p2_and_histogram_estimates_agree_on_the_same_stream() {
-        // The two estimators make opposite trade-offs (five markers vs
-        // 4096 buckets); on a common deterministic stream their p50/p99
-        // estimates must land within a bucket-width-scale tolerance of
-        // each other, or one of them is broken.
-        use crate::p2::P2Quantile;
+    fn histogram_quantiles_agree_with_exact_order_statistics() {
+        // `Samples` keeps every value and answers with exact order
+        // statistics; the histogram interpolates inside 1-unit buckets.
+        // On a common deterministic stream the two must land within one
+        // bucket width of each other, or the interpolation is broken.
+        use crate::cdf::Samples;
         let mut h = Histogram::new(1.0, 4_096);
-        let mut p50 = P2Quantile::new(0.50);
-        let mut p99 = P2Quantile::new(0.99);
+        let mut exact = Samples::with_capacity(50_000);
         // A deterministic LCG stream over [0, 2000) with a heavy-ish
-        // spread so both estimators see a non-trivial distribution.
+        // spread so the estimate sees a non-trivial distribution.
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         for _ in 0..50_000 {
             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
             let v = ((x >> 33) % 2_000) as f64;
             h.record(v);
-            p50.record(v);
-            p99.record(v);
+            exact.record(v);
         }
-        let snap = h.quantile_snapshot();
-        let e50 = p50.estimate().unwrap();
-        let e99 = p99.estimate().unwrap();
         // Uniform over [0,2000): p50 ~ 1000, p99 ~ 1980.
-        let tol50 = 0.02 * 2_000.0;
-        let tol99 = 0.02 * 2_000.0;
-        assert!(
-            (snap.p50 - e50).abs() < tol50,
-            "p50: histogram {} vs P2 {}",
-            snap.p50,
-            e50
-        );
-        assert!(
-            (snap.p99 - e99).abs() < tol99,
-            "p99: histogram {} vs P2 {}",
-            snap.p99,
-            e99
-        );
+        for q in [0.50, 0.90, 0.99, 0.999] {
+            let est = h.quantile(q).unwrap();
+            let truth = exact.quantile(q).unwrap();
+            assert!(
+                (est - truth).abs() <= 1.0,
+                "q{q}: histogram {est} vs exact {truth}"
+            );
+        }
     }
 }

@@ -10,7 +10,6 @@
 //! - [`HdrHistogram`] — log-bucketed histogram with bounded relative error
 //!   for wall-clock nanosecond ranges (host-runtime measurements).
 //! - [`Samples`] — exact sample sets with order-statistic quantiles.
-//! - [`P2Quantile`] — constant-space streaming quantile estimator.
 //! - [`WindowedMedian`] — per-interval medians over a time series.
 //! - [`Series`] — simple (x, y) series with CSV export for plotting.
 //!
@@ -23,7 +22,6 @@
 pub mod cdf;
 pub mod hdr;
 pub mod histogram;
-pub mod p2;
 pub mod series;
 pub mod summary;
 pub mod window;
@@ -31,7 +29,6 @@ pub mod window;
 pub use cdf::Samples;
 pub use hdr::HdrHistogram;
 pub use histogram::{Histogram, QuantileSnapshot};
-pub use p2::P2Quantile;
 pub use series::Series;
 pub use summary::Summary;
 pub use window::WindowedMedian;

@@ -28,10 +28,10 @@ impl Series {
     /// Creates an empty series.
     pub fn new(name: &str, x_label: &str, y_label: &str) -> Self {
         Series {
-            name: name.to_string(), // st-lint: allow(hot-path-cost) -- false call-graph edge: this plotting Series shares a type name with st-scope's timeline series; nothing on a timer path constructs it
-            x_label: x_label.to_string(), // st-lint: allow(hot-path-cost) -- false call-graph edge: plotting-only constructor (see above)
-            y_label: y_label.to_string(), // st-lint: allow(hot-path-cost) -- false call-graph edge: plotting-only constructor (see above)
-            points: Vec::new(), // st-lint: allow(hot-path-cost) -- false call-graph edge: plotting-only constructor (see above)
+            name: name.to_string(),
+            x_label: x_label.to_string(),
+            y_label: y_label.to_string(),
+            points: Vec::new(),
         }
     }
 

@@ -1,100 +1,7 @@
-//! Edge-case coverage for the streaming estimators: the P² quantile
-//! tracker below its seeding threshold and under degenerate streams, and
-//! the linear histogram's boundary/overflow bucketing.
+//! Edge-case coverage for the linear histogram's boundary/overflow
+//! bucketing.
 
-use st_stats::{Histogram, P2Quantile};
-
-#[test]
-fn p2_below_five_samples_returns_exact_order_statistics() {
-    let mut median = P2Quantile::new(0.5);
-    let mut p25 = P2Quantile::new(0.25);
-    let mut p90 = P2Quantile::new(0.9);
-    assert_eq!(median.estimate(), None, "no samples, no estimate");
-    // Unsorted on purpose: the exact path must sort internally.
-    for v in [30.0, 10.0, 40.0, 20.0] {
-        median.record(v);
-        p25.record(v);
-        p90.record(v);
-    }
-    assert_eq!(median.count(), 4);
-    // ceil(q * 4) as a 1-based rank over {10, 20, 30, 40}.
-    assert_eq!(median.estimate(), Some(20.0));
-    assert_eq!(p25.estimate(), Some(10.0));
-    assert_eq!(p90.estimate(), Some(40.0));
-}
-
-#[test]
-fn p2_single_sample_is_every_quantile() {
-    for q in [0.01, 0.5, 0.99] {
-        let mut p = P2Quantile::new(q);
-        p.record(7.5);
-        assert_eq!(p.estimate(), Some(7.5), "q = {q}");
-    }
-}
-
-#[test]
-fn p2_constant_stream_stays_exact() {
-    // All markers collapse to the same height; the parabolic update must
-    // not produce NaN or drift.
-    let mut p = P2Quantile::new(0.5);
-    for _ in 0..10_000 {
-        p.record(42.0);
-    }
-    assert_eq!(p.estimate(), Some(42.0));
-    assert_eq!(p.count(), 10_000);
-}
-
-#[test]
-fn p2_heavy_duplicates_with_rare_outliers() {
-    // Trigger-interval-like stream: almost everything identical, a few
-    // large stragglers. The median must stay on the mode.
-    let mut p = P2Quantile::new(0.5);
-    for i in 0..50_000u64 {
-        p.record(if i % 1000 == 0 { 900.0 } else { 10.0 });
-    }
-    let est = p.estimate().unwrap();
-    assert!((est - 10.0).abs() < 1.0, "median {est} left the mode");
-}
-
-#[test]
-fn p2_monotonic_ascending_input() {
-    // Sorted input is the classic adversary for marker-based estimators:
-    // every observation lands in the top cell.
-    let mut p = P2Quantile::new(0.5);
-    for i in 0..100_000u64 {
-        p.record(i as f64);
-    }
-    let est = p.estimate().unwrap();
-    assert!(
-        (est - 50_000.0).abs() < 5_000.0,
-        "ascending median estimate {est}"
-    );
-}
-
-#[test]
-fn p2_monotonic_descending_input() {
-    let mut p = P2Quantile::new(0.9);
-    for i in (0..100_000u64).rev() {
-        p.record(i as f64);
-    }
-    let est = p.estimate().unwrap();
-    assert!(
-        (est - 90_000.0).abs() < 9_000.0,
-        "descending p90 estimate {est}"
-    );
-}
-
-#[test]
-#[should_panic(expected = "quantile must be in (0, 1)")]
-fn p2_rejects_zero_quantile() {
-    let _ = P2Quantile::new(0.0);
-}
-
-#[test]
-#[should_panic(expected = "quantile must be in (0, 1)")]
-fn p2_rejects_negative_quantile() {
-    let _ = P2Quantile::new(-0.5);
-}
+use st_stats::Histogram;
 
 #[test]
 fn histogram_boundary_values_land_in_the_upper_bucket() {

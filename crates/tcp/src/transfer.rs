@@ -571,8 +571,8 @@ impl World for TransferWorld {
                     }
                     self.last_ack_at = Some(now);
                     let out = self.sender.on_ack(p.tcp.ack);
-                    st_scope::gauge(now.as_micros(), "tcp.cwnd", self.sender.cwnd() as f64);
-                    st_scope::gauge(
+                    st_trace::gauge(now.as_micros(), "tcp.cwnd", self.sender.cwnd() as f64);
+                    st_trace::gauge(
                         now.as_micros(),
                         "tcp.inflight",
                         self.sender.inflight() as f64,

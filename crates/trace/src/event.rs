@@ -61,19 +61,10 @@ impl Category {
         }
     }
 
-    /// Dense index, used as the Chrome-trace `tid`.
+    /// Dense index (the position in [`Category::ALL`]), used as the
+    /// Chrome-trace `tid`.
     pub fn index(self) -> usize {
-        match self {
-            Category::Kernel => 0,
-            Category::Facility => 1,
-            Category::Rt => 2,
-            Category::Smp => 3,
-            Category::Net => 4,
-            Category::Tcp => 5,
-            Category::Fault => 6,
-            Category::Experiment => 7,
-            Category::Admit => 8,
-        }
+        self as usize
     }
 }
 

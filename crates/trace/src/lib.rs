@@ -6,17 +6,23 @@
 //! (Table 2). This crate is the observability substrate that makes
 //! those measurements first-class instead of buried in aggregates:
 //!
-//! - [`TraceSession`] — a thread-local flight recorder; while active,
-//!   instrumented code records structured [`Event`]s into a bounded
-//!   drop-oldest [`ring::Ring`] and metrics into a [`Registry`].
-//! - [`emit`] / [`count`] / [`observe`] — the emit-side API used by
-//!   `st-kernel`, `st-core`, `st-net`, `st-tcp` and `st-fault`.  With
-//!   no active session these are a sealed no-op (one thread-local load
-//!   and a branch), so always-on instrumentation costs hot paths
-//!   nearly nothing.
-//! - [`Snapshot`] — the captured stream plus registry, exportable as
+//! - [`TraceSession`] — the one thread-local telemetry session.  While
+//!   active, instrumented code records into two views of the same run:
+//!   the **event view** (structured [`Event`]s in a bounded drop-oldest
+//!   [`ring::Ring`], counters and histograms in a [`Registry`]) and the
+//!   **series view** (a [`Timeline`] of gauge, counter-delta and
+//!   windowed-quantile series flushed by [`sample`] — itself driven by
+//!   a periodic soft-timer event, the fifth soft-timer application in
+//!   the repository — plus the [`Waterfall`] that splits each fire's
+//!   lateness, integer-exactly, into trigger-wait and cascade).
+//! - [`emit`] / [`count`] / [`observe`] and [`gauge`] /
+//!   [`observe_window`] / [`sample`] / [`fire_delay`] — the emit-side
+//!   API every layer calls.  With no active session each is a sealed
+//!   no-op (one thread-local load and a branch), so always-on
+//!   instrumentation costs hot paths nearly nothing.
+//! - [`Snapshot`] — everything one session captured, exportable as
 //!   Chrome `trace_event` JSON (Perfetto-loadable), JSON-lines metric
-//!   dumps, or a human summary.
+//!   dumps, a human summary, or `st-scope-timeline-v1` JSON lines.
 //! - [`json`] — the hand-rolled JSON writer/validator the exporters
 //!   (and the `repro --json` flag) are built on; the workspace is
 //!   hermetic, so no serde.
@@ -35,13 +41,17 @@ pub mod export;
 pub mod json;
 pub mod registry;
 pub mod ring;
+pub mod series;
 pub mod snapshot;
 pub mod tracer;
+pub mod waterfall;
 
 pub use event::{Category, Event};
 pub use registry::Registry;
+pub use series::{Series, SeriesKind, Timeline};
 pub use snapshot::Snapshot;
 pub use tracer::{
-    active, count, counters_snapshot, emit, observe, resume, suspend, Suspended, TraceConfig,
-    TraceSession,
+    active, count, emit, fire_delay, gauge, observe, observe_window, resume, sample, sampling,
+    suspend, Suspended, TraceConfig, TraceSession,
 };
+pub use waterfall::{Lane, Waterfall};

@@ -1,114 +1,98 @@
-//! Bounded drop-oldest ring buffer of [`Event`]s.
+//! Bounded drop-oldest ring buffer: the one retention policy behind
+//! both the event stream and every time series.
 //!
-//! The tracer is a flight recorder, not a log: when the ring fills,
-//! the oldest events are overwritten and a counter records how many
-//! were lost, so exports can never silently pretend to be complete.
+//! The session is a flight recorder, not a log: when a ring fills, the
+//! oldest items are overwritten and a counter records how many were
+//! lost, so exports can never silently pretend to be complete.
 
-use crate::event::Event;
-
-/// Fixed-capacity event ring with drop-oldest overwrite semantics.
+/// Fixed-capacity ring with drop-oldest overwrite semantics.
 #[derive(Debug, Clone)]
-pub struct Ring {
-    buf: Vec<Event>,
+pub struct Ring<T> {
+    buf: Vec<T>,
     cap: usize,
-    /// Index of the oldest retained event once the ring has wrapped.
+    /// Index of the oldest retained item once the ring has wrapped.
     start: usize,
     dropped: u64,
 }
 
-impl Ring {
-    /// Creates a ring holding at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Ring {
+impl<T: Copy> Ring<T> {
+    /// Creates a ring holding at most `capacity` items (minimum 1),
+    /// reserving up to 65 536 of them up front so a recording does not
+    /// pay for growth on the emit path.
+    pub fn new(capacity: usize) -> Ring<T> {
         let cap = capacity.max(1);
         Ring {
-            buf: Vec::with_capacity(cap.min(1 << 16)),
+            buf: Vec::with_capacity(cap.min(1 << 16)), // st-lint: allow(hot-path-cost) -- enabled path: built once per series name (and once per session for events), and only while a session is recording
             cap,
             start: 0,
             dropped: 0,
         }
     }
 
-    /// Appends an event, evicting the oldest one if the ring is full.
-    pub fn push(&mut self, ev: Event) {
+    /// Appends an item, evicting the oldest one if the ring is full.
+    pub fn push(&mut self, item: T) {
         if self.buf.len() < self.cap {
-            self.buf.push(ev);
+            self.buf.push(item);
         } else {
-            self.buf[self.start] = ev;
+            self.buf[self.start] = item;
             self.start = (self.start + 1) % self.cap;
             self.dropped += 1;
         }
     }
 
-    /// Number of events currently retained.
+    /// Number of items currently retained.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// True when no events are retained.
+    /// True when no items are retained.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
-    /// Number of events evicted because the ring was full.
+    /// Number of items evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Retained events in arrival order (oldest first).
-    pub fn to_vec(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.start..]);
-        out.extend_from_slice(&self.buf[..self.start]);
-        out
+    /// Retained items in arrival order (oldest first).
+    pub fn oldest_first(&self) -> impl Iterator<Item = T> + '_ {
+        let (newer, older) = self.buf.split_at(self.start);
+        older.iter().chain(newer).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Category;
 
-    fn ev(ts: u64) -> Event {
-        Event {
-            ts,
-            cat: Category::Experiment,
-            name: "test",
-            a: ts,
-            b: 0,
-        }
+    fn filled(cap: usize, n: u64) -> Ring<u64> {
+        let mut r = Ring::new(cap);
+        (0..n).for_each(|i| r.push(i));
+        r
     }
 
     #[test]
     fn keeps_everything_under_capacity() {
-        let mut r = Ring::new(8);
-        for i in 0..5 {
-            r.push(ev(i));
-        }
+        let r = filled(8, 5);
         assert_eq!(r.len(), 5);
         assert_eq!(r.dropped(), 0);
-        let got: Vec<u64> = r.to_vec().iter().map(|e| e.ts).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        assert_eq!(r.oldest_first().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn drops_oldest_when_full_and_counts_losses() {
-        let mut r = Ring::new(4);
-        for i in 0..10 {
-            r.push(ev(i));
-        }
+        let r = filled(4, 10);
         assert_eq!(r.len(), 4);
         assert_eq!(r.dropped(), 6);
-        let got: Vec<u64> = r.to_vec().iter().map(|e| e.ts).collect();
-        assert_eq!(got, vec![6, 7, 8, 9]);
+        assert_eq!(r.oldest_first().collect::<Vec<_>>(), vec![6, 7, 8, 9]);
     }
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let mut r = Ring::new(0);
-        r.push(ev(1));
-        r.push(ev(2));
+        let r = filled(0, 2);
         assert_eq!(r.len(), 1);
-        assert_eq!(r.to_vec()[0].ts, 2);
+        assert_eq!(r.oldest_first().next(), Some(1));
         assert_eq!(r.dropped(), 1);
     }
 }

@@ -1,23 +1,28 @@
-//! Ring-buffered time series: the over-time half of `st-scope`.
+//! Ring-buffered time series: the over-time view of a session.
 //!
 //! A [`Timeline`] holds a set of named [`Series`], each a fixed-capacity
-//! ring of `(tick, value)` points.  Three kinds of series exist:
+//! [`Ring`] of `(tick, value)` points.  Three kinds of series exist:
 //!
 //! - **gauges** — instantaneous values appended directly by the caller
 //!   (connection counts, admission limits, congestion windows);
-//! - **counter deltas** — per-sample-window increments of the st-trace
+//! - **counter deltas** — per-sample-window increments of the session
 //!   registry's monotone counters, computed against the previous sample;
 //! - **quantile snapshots** — p50/p99/p99.9 of a windowed histogram of
 //!   observations, flushed and reset at each sample tick.
 //!
+//! All three share one namespace, so a name belongs to one kind: writing
+//! a series as a second kind panics, naming both.
+//!
 //! The sampling *cadence* is not the timeline's business: callers drive
-//! [`Timeline::sample`] from a periodic soft-timer event so that the
+//! [`crate::sample`] from a periodic soft-timer event so that the
 //! telemetry flush itself rides trigger states, the same economics as
 //! every other soft-timer application in this repository.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use st_stats::Histogram;
+
+use crate::ring::Ring;
 
 /// What a series' points mean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,32 +47,13 @@ impl SeriesKind {
 }
 
 /// One named, fixed-capacity ring of `(tick, value)` points.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Series {
     kind: SeriesKind,
-    capacity: usize,
-    points: VecDeque<(u64, f64)>,
-    dropped: u64,
+    points: Ring<(u64, f64)>,
 }
 
 impl Series {
-    fn new(kind: SeriesKind, capacity: usize) -> Series {
-        Series {
-            kind,
-            capacity: capacity.max(1),
-            points: VecDeque::new(), // st-lint: allow(hot-path-cost) -- enabled path: built once per series name, and only while a scope session is recording
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, tick: u64, value: f64) {
-        if self.points.len() == self.capacity {
-            self.points.pop_front();
-            self.dropped += 1;
-        }
-        self.points.push_back((tick, value));
-    }
-
     /// The series kind.
     pub fn kind(&self) -> SeriesKind {
         self.kind
@@ -75,7 +61,7 @@ impl Series {
 
     /// Retained points, oldest first.
     pub fn points(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.points.iter().copied()
+        self.points.oldest_first()
     }
 
     /// Number of retained points.
@@ -90,7 +76,7 @@ impl Series {
 
     /// Points evicted because the ring was full — never silent.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.points.dropped()
     }
 }
 
@@ -99,17 +85,55 @@ impl Series {
 /// resolution.
 const WINDOW_BUCKETS: usize = 4096;
 
-/// Quantiles flushed per windowed-observation series at each sample.
-const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)];
+/// Suffixes of the quantile series flushed per observation window at
+/// each sample: `<name>.p50`, `<name>.p99`, `<name>.p999`.
+const QUANTILES: [&str; 3] = ["p50", "p99", "p999"];
+
+/// One windowed-observation histogram and the names of the three
+/// quantile series it flushes into (built once, at the window's first
+/// flush, so later sample ticks format nothing).
+#[derive(Debug, Clone)]
+struct Window {
+    width: f64,
+    hist: Histogram,
+    series: Option<[String; 3]>,
+}
 
 /// The full set of series plus the sampling state feeding them.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     capacity: usize,
     series: BTreeMap<String, Series>,
     last_counters: BTreeMap<&'static str, u64>,
-    windows: BTreeMap<&'static str, (f64, Histogram)>,
+    windows: BTreeMap<&'static str, Window>,
     samples: u64,
+}
+
+/// The series called `name`, created as `kind` when first seen.
+///
+/// # Panics
+///
+/// Panics when the series exists as another kind: names are `&'static
+/// str` literals at the emit sites, so two kinds under one name is a
+/// programming error that would otherwise interleave silently.
+fn series_mut<'a>(
+    series: &'a mut BTreeMap<String, Series>,
+    capacity: usize,
+    name: &str,
+    kind: SeriesKind,
+) -> &'a mut Series {
+    if !series.contains_key(name) {
+        let points = Ring::new(capacity);
+        series.insert(name.to_string(), Series { kind, points }); // st-lint: allow(hot-path-cost) -- enabled path: interns a first-seen series name (later points look it up, no allocation) while a session is recording
+    }
+    let s = series.get_mut(name).expect("inserted above on a miss");
+    assert!(
+        s.kind == kind,
+        "series {name:?} is a {} series but was written as a {}",
+        s.kind.label(),
+        kind.label()
+    );
+    s
 }
 
 impl Timeline {
@@ -117,24 +141,16 @@ impl Timeline {
     /// points.
     pub fn new(capacity: usize) -> Timeline {
         Timeline {
-            capacity: capacity.max(1),
-            series: BTreeMap::new(),
-            last_counters: BTreeMap::new(),
-            windows: BTreeMap::new(),
-            samples: 0,
+            capacity,
+            ..Timeline::default()
         }
-    }
-
-    fn series_mut(&mut self, name: &str, kind: SeriesKind) -> &mut Series {
-        let capacity = self.capacity;
-        self.series
-            .entry(name.to_string()) // st-lint: allow(hot-path-cost) -- enabled path: interns a first-seen series name while a scope session is recording
-            .or_insert_with(|| Series::new(kind, capacity))
     }
 
     /// Appends an instantaneous gauge point.
     pub fn gauge(&mut self, tick: u64, name: &'static str, value: f64) {
-        self.series_mut(name, SeriesKind::Gauge).push(tick, value);
+        series_mut(&mut self.series, self.capacity, name, SeriesKind::Gauge)
+            .points
+            .push((tick, value));
     }
 
     /// Records one observation into `name`'s current sample window.
@@ -146,57 +162,59 @@ impl Timeline {
     /// already holds) until it fits, so overload-scale tails are never
     /// silently clamped to the range edge — a collapsed run's p99 reads
     /// in seconds, not at the 4096-tick ceiling.
-    pub fn observe(&mut self, name: &'static str, value: f64) {
-        let (width, h) = self
-            .windows
-            .entry(name)
-            .or_insert_with(|| (1.0, Histogram::new(1.0, WINDOW_BUCKETS)));
-        if value >= *width * WINDOW_BUCKETS as f64 {
-            while value >= *width * WINDOW_BUCKETS as f64 {
-                *width *= 2.0;
+    pub fn observe_window(&mut self, name: &'static str, value: f64) {
+        let w = self.windows.entry(name).or_insert_with(|| Window {
+            width: 1.0,
+            hist: Histogram::new(1.0, WINDOW_BUCKETS),
+            series: None,
+        });
+        if value >= w.width * WINDOW_BUCKETS as f64 {
+            while value >= w.width * WINDOW_BUCKETS as f64 {
+                w.width *= 2.0;
             }
-            let mut wider = Histogram::new(*width, WINDOW_BUCKETS);
-            for (edge, count) in h.buckets() {
+            let mut wider = Histogram::new(w.width, WINDOW_BUCKETS);
+            for (edge, count) in w.hist.buckets() {
                 wider.record_n(edge, count);
             }
-            *h = wider;
+            w.hist = wider;
         }
-        h.record(value);
+        w.hist.record(value);
     }
 
     /// One sample tick at `tick`: counter deltas against `counters`
-    /// (typically the live st-trace registry) and quantile flushes of
+    /// (the session registry's running totals) and quantile flushes of
     /// every observation window, which then reset.
-    pub fn sample(&mut self, tick: u64, counters: &[(&'static str, u64)]) {
+    pub fn sample(&mut self, tick: u64, counters: impl IntoIterator<Item = (&'static str, u64)>) {
         self.samples += 1;
-        for &(name, total) in counters {
+        for (name, total) in counters {
             let prev = self.last_counters.insert(name, total).unwrap_or(0);
             let delta = total.saturating_sub(prev);
-            self.series_mut(name, SeriesKind::CounterDelta)
-                .push(tick, delta as f64);
+            series_mut(
+                &mut self.series,
+                self.capacity,
+                name,
+                SeriesKind::CounterDelta,
+            )
+            .points
+            .push((tick, delta as f64));
         }
-        let mut flushed: Vec<(String, f64)> = Vec::new();
-        for (name, (width, h)) in &mut self.windows {
-            if h.count() == 0 {
+        for (name, w) in &mut self.windows {
+            if w.hist.count() == 0 {
                 continue;
             }
-            let snap = h.quantile_snapshot();
-            for (suffix, _) in QUANTILES {
-                let value = match suffix {
-                    "p50" => snap.p50,
-                    "p99" => snap.p99,
-                    _ => snap.p999,
-                };
-                flushed.push((format!("{name}.{suffix}"), value));
+            let snap = w.hist.quantile_snapshot();
+            let names = w
+                .series
+                .get_or_insert_with(|| QUANTILES.map(|suffix| format!("{name}.{suffix}")));
+            for (name, value) in names.iter().zip([snap.p50, snap.p99, snap.p999]) {
+                series_mut(&mut self.series, self.capacity, name, SeriesKind::Quantile)
+                    .points
+                    .push((tick, value));
             }
             // Each window starts back at 1-tick resolution; the next
             // overflow re-widens it if the tail is still there.
-            *width = 1.0;
-            *h = Histogram::new(1.0, WINDOW_BUCKETS);
-        }
-        for (name, value) in flushed {
-            self.series_mut(&name, SeriesKind::Quantile)
-                .push(tick, value);
+            w.width = 1.0;
+            w.hist = Histogram::new(1.0, WINDOW_BUCKETS);
         }
     }
 
@@ -242,12 +260,29 @@ mod tests {
     #[test]
     fn counter_deltas_difference_successive_samples() {
         let mut t = Timeline::new(8);
-        t.sample(100, &[("c", 10)]);
-        t.sample(200, &[("c", 25)]);
-        t.sample(300, &[("c", 25)]);
+        t.sample(100, [("c", 10)]);
+        t.sample(200, [("c", 25)]);
+        t.sample(300, [("c", 25)]);
         let pts: Vec<_> = t.get("c").unwrap().points().collect();
         assert_eq!(pts, vec![(100, 10.0), (200, 15.0), (300, 0.0)]);
         assert_eq!(t.samples(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "series \"x\" is a gauge series but was written as a counter_delta")]
+    fn one_name_under_two_kinds_panics_naming_both() {
+        let mut t = Timeline::new(8);
+        t.gauge(1, "x", 1.0);
+        t.sample(2, [("x", 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "series \"lat.p99\" is a gauge series but was written as a quantile")]
+    fn a_flushed_quantile_cannot_land_in_a_gauge() {
+        let mut t = Timeline::new(8);
+        t.gauge(1, "lat.p99", 1.0);
+        t.observe_window("lat", 5.0);
+        t.sample(2, []);
     }
 
     #[test]
@@ -256,19 +291,19 @@ mod tests {
         // 99 small values then one overload-scale outlier: a fixed
         // 4096x1 window would clamp the tail to 4096.
         for _ in 0..99 {
-            t.observe("lat", 100.0);
+            t.observe_window("lat", 100.0);
         }
-        t.observe("lat", 1_200_000.0);
-        t.sample(1_000, &[]);
+        t.observe_window("lat", 1_200_000.0);
+        t.sample(1_000, []);
         let p999 = t.get("lat.p999").unwrap().points().next().unwrap().1;
         assert!(p999 > 1_000_000.0, "tail clamped: p999 {p999}");
         // The median survives re-bucketing at its coarser resolution.
         let p50 = t.get("lat.p50").unwrap().points().next().unwrap().1;
         assert!(p50 < 1_000.0, "median distorted: p50 {p50}");
         // The next window starts back at 1-tick resolution.
-        t.observe("lat", 10.0);
-        t.observe("lat", 12.0);
-        t.sample(2_000, &[]);
+        t.observe_window("lat", 10.0);
+        t.observe_window("lat", 12.0);
+        t.sample(2_000, []);
         let pts: Vec<_> = t.get("lat.p50").unwrap().points().collect();
         assert!(pts[1].1 >= 10.0 && pts[1].1 <= 13.0, "p50 {}", pts[1].1);
     }
@@ -277,13 +312,13 @@ mod tests {
     fn observation_windows_flush_quantiles_and_reset() {
         let mut t = Timeline::new(8);
         for v in 1..=100 {
-            t.observe("lat", v as f64);
+            t.observe_window("lat", v as f64);
         }
-        t.sample(1_000, &[]);
+        t.sample(1_000, []);
         let p99 = t.get("lat.p99").unwrap().points().next().unwrap().1;
         assert!((95.0..=101.0).contains(&p99), "p99 {p99}");
         // The window reset: an empty window flushes nothing.
-        t.sample(2_000, &[]);
+        t.sample(2_000, []);
         assert_eq!(t.get("lat.p99").unwrap().len(), 1);
         assert!(t.get("lat.p50").is_some());
         assert!(t.get("lat.p999").is_some());

@@ -2,9 +2,14 @@
 
 use crate::event::Event;
 use crate::registry::Registry;
+use crate::series::Timeline;
+use crate::waterfall::Waterfall;
 
-/// Everything a session captured: the retained event stream, the loss
-/// counter, and the metrics registry.
+/// Everything a session captured: the retained event stream and its
+/// loss counter, the metrics registry, and the series view (time
+/// series plus fire-delay lanes; both empty when the session ran with
+/// `series_capacity: 0`).  The exporters are methods on it, in
+/// [`crate::export`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Retained events, oldest first.
@@ -14,6 +19,10 @@ pub struct Snapshot {
     pub dropped: u64,
     /// Counters and histograms accumulated during the session.
     pub registry: Registry,
+    /// Gauge, counter-delta and windowed-quantile series.
+    pub timeline: Timeline,
+    /// Per-lane fire-delay attribution.
+    pub waterfall: Waterfall,
 }
 
 impl Snapshot {
@@ -30,20 +39,5 @@ impl Snapshot {
     /// Number of retained events with the given name.
     pub fn event_count(&self, name: &str) -> usize {
         self.events_named(name).count()
-    }
-
-    /// Chrome `trace_event` JSON (Perfetto / `chrome://tracing`).
-    pub fn chrome_trace_json(&self) -> String {
-        crate::export::chrome_trace_json(self)
-    }
-
-    /// JSON-lines metric dump: one object per counter/histogram.
-    pub fn metrics_jsonl(&self) -> String {
-        crate::export::metrics_jsonl(self)
-    }
-
-    /// Human-readable summary of the recording.
-    pub fn summary(&self) -> String {
-        crate::export::summary(self)
     }
 }

@@ -1,4 +1,4 @@
-//! Per-source fire-delay attribution: the waterfall half of `st-scope`.
+//! Per-source fire-delay attribution: the waterfall view of a session.
 //!
 //! The facility records *how late* each soft-timer event fired
 //! (`FacilityStats`' delay summary); the waterfall records *why*.  Each
@@ -29,7 +29,7 @@ const DELAY_BUCKETS: usize = 2048;
 
 /// Attribution for one fire lane (one trigger source, or the backup
 /// sweep).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Lane {
     fires: u64,
     trigger_wait_sum: u64,
@@ -81,7 +81,7 @@ impl Lane {
 }
 
 /// All lanes of the fire-delay attribution.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Waterfall {
     lanes: BTreeMap<&'static str, Lane>,
 }

@@ -5,7 +5,10 @@ use st_trace::{json, Category, TraceConfig, TraceSession};
 
 #[test]
 fn record_export_roundtrip() {
-    let session = TraceSession::start(TraceConfig { capacity: 1024 });
+    let session = TraceSession::start(TraceConfig {
+        capacity: 1024,
+        ..TraceConfig::default()
+    });
     for t in 0..200u64 {
         let (cat, name) = match t % 4 {
             0 => (Category::Kernel, "syscalls"),
@@ -16,6 +19,10 @@ fn record_export_roundtrip() {
         st_trace::emit(cat, name, t, t / 4, t % 2);
         st_trace::count("events.total", 1);
         st_trace::observe("interval_us", (t % 50) as f64);
+        st_trace::gauge(t, "queue.depth", (t % 7) as f64);
+        if t % 50 == 49 {
+            st_trace::sample(t);
+        }
     }
     st_trace::observe("interval_us", 1e12); // force histogram overflow
     let snap = session.finish();
@@ -38,11 +45,25 @@ fn record_export_roundtrip() {
 
     let text = snap.summary();
     assert!(text.contains("200 events retained"));
+
+    // The series view of the same recording: the sampler differenced
+    // the counter this very session accumulated.
+    let timeline = snap.timeline_jsonl();
+    for line in &timeline {
+        json::validate(line).expect("each timeline line must be valid JSON");
+    }
+    assert!(timeline[0].contains("\"samples\":4"));
+    let deltas = snap.timeline.get("events.total").unwrap();
+    assert!(deltas.points().all(|(_, d)| d == 50.0));
+    assert_eq!(snap.timeline.get("queue.depth").unwrap().len(), 200);
 }
 
 #[test]
 fn bounded_session_reports_losses_in_exports() {
-    let session = TraceSession::start(TraceConfig { capacity: 16 });
+    let session = TraceSession::start(TraceConfig {
+        capacity: 16,
+        ..TraceConfig::default()
+    });
     for t in 0..64u64 {
         st_trace::emit(Category::Experiment, "tick", t, 0, 0);
     }
