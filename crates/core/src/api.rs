@@ -81,7 +81,6 @@ impl<C: Clock> SoftTimers<C> {
             core: SoftTimerCore::new(Config {
                 measure_hz,
                 interrupt_hz,
-                record_stats: true,
             }),
             scratch: Vec::new(),
         }

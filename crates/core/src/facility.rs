@@ -19,9 +19,6 @@ pub struct Config {
     /// paper's typical value is 1 kHz (one sweep per millisecond). This is
     /// what `interrupt_clock_resolution()` reports.
     pub interrupt_hz: u64,
-    /// Whether to record per-event delay statistics (small extra cost per
-    /// fire; the experiments keep it on).
-    pub record_stats: bool,
 }
 
 impl Default for Config {
@@ -29,7 +26,6 @@ impl Default for Config {
         Config {
             measure_hz: 1_000_000,
             interrupt_hz: 1_000,
-            record_stats: true,
         }
     }
 }
@@ -38,9 +34,10 @@ impl Config {
     /// `X`: the resolution of the interrupt clock relative to the
     /// measurement clock — `measure_resolution / interrupt_clock_resolution`
     /// in the paper's notation. An event scheduled with delta `T` fires at
-    /// an actual delta strictly between `T` and `T + X + 1`.
+    /// an actual delta strictly between `T` and `T + X + 1`. A zero
+    /// `interrupt_hz` reads as 1 Hz, the clamp the facility applies.
     pub fn x_ticks(&self) -> u64 {
-        self.measure_hz / self.interrupt_hz
+        self.measure_hz / self.interrupt_hz.max(1)
     }
 }
 
@@ -98,6 +95,9 @@ pub struct SoftTimerCore<P, Q: TimerQueue<P> = TimingWheel<P>> {
     /// on the wheel is a single find-first-set), never stale-late.
     earliest: Option<u64>,
     config: Config,
+    /// `config.x_ticks()`, cached so the late-fire test is a compare and
+    /// not a division per fire; recomputed only by `set_interrupt_hz`.
+    x_ticks: u64,
     stats: FacilityStats,
     /// Monotonic check guard: ticks seen so far.
     last_seen: u64,
@@ -114,12 +114,16 @@ impl<P> SoftTimerCore<P> {
 }
 
 impl<P, Q: TimerQueue<P>> SoftTimerCore<P, Q> {
-    /// Creates an empty facility over an explicit timer store.
-    pub fn with_queue(config: Config, queue: Q) -> Self {
+    /// Creates an empty facility over an explicit timer store. A zero
+    /// `interrupt_hz` is clamped to 1 Hz, as [`Self::set_interrupt_hz`]
+    /// does.
+    pub fn with_queue(mut config: Config, queue: Q) -> Self {
+        config.interrupt_hz = config.interrupt_hz.max(1);
         SoftTimerCore {
             wheel: queue,
             earliest: None,
             config,
+            x_ticks: config.x_ticks(),
             stats: FacilityStats::new(),
             last_seen: 0,
             scratch: Vec::new(),
@@ -147,11 +151,6 @@ impl<P, Q: TimerQueue<P>> SoftTimerCore<P, Q> {
         &self.stats
     }
 
-    /// Resets accumulated statistics (events stay scheduled).
-    pub fn reset_stats(&mut self) {
-        self.stats = FacilityStats::new();
-    }
-
     /// Records that an embedding runtime caught a panic from a dispatched
     /// event handler (see [`FacilityStats::handler_panics`]).
     pub fn note_handler_panic(&mut self) {
@@ -169,6 +168,7 @@ impl<P, Q: TimerQueue<P>> SoftTimerCore<P, Q> {
         let hz = interrupt_hz.max(1);
         if hz != self.config.interrupt_hz {
             self.config.interrupt_hz = hz;
+            self.x_ticks = self.config.x_ticks();
             self.stats.backup_retunes += 1;
         }
     }
@@ -281,9 +281,7 @@ impl<P, Q: TimerQueue<P>> SoftTimerCore<P, Q> {
         let fired = due.len();
         let tracing = st_trace::active();
         for (deadline, payload) in due.drain(..) {
-            if self.config.record_stats {
-                self.stats.record_fire(origin, now - deadline);
-            }
+            self.stats.record_fire(origin, now - deadline, self.x_ticks);
             if tracing {
                 let (name, counter) = match origin {
                     FireOrigin::TriggerState => ("facility.fire.trigger", "facility.fired.trigger"),
@@ -522,7 +520,9 @@ mod tests {
         assert_eq!(s.fired_trigger, 1);
         assert_eq!(s.fired_backup, 1);
         assert_eq!(s.scheduled, 2);
-        assert!(s.delay_ticks.mean() > 0.0);
+        assert_eq!(s.delay_sum_ticks(), (15 - 11) + (1000 - 21));
+        assert_eq!(s.delay_max_ticks, 1000 - 21);
+        assert_eq!(s.late_fires, 0);
     }
 
     #[test]
@@ -545,5 +545,34 @@ mod tests {
         c.set_interrupt_hz(1_000);
         c.interrupt_sweep(100, &mut out);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn zero_hz_config_is_clamped_and_retune_moves_the_late_threshold() {
+        let zero = Config {
+            measure_hz: 1_000_000,
+            interrupt_hz: 0,
+        };
+        assert_eq!(
+            zero.x_ticks(),
+            1_000_000,
+            "a raw zero-Hz config reads as 1 Hz"
+        );
+        let mut c: SoftTimerCore<u32> = SoftTimerCore::new(zero);
+        assert_eq!(c.interrupt_clock_resolution(), 1);
+        assert_eq!(c.config().x_ticks(), 1_000_000);
+        let mut out = Vec::new();
+        // 5000 ticks late against X = 1e6: inside the bound.
+        c.schedule(0, 9, 1);
+        c.interrupt_sweep(5_010, &mut out);
+        assert_eq!(c.stats().late_fires, 0);
+        // Same lateness after the grid tightens to X = 1000: late. The
+        // earlier fire is not re-judged.
+        c.set_interrupt_hz(1_000);
+        c.schedule(5_010, 9, 2);
+        c.interrupt_sweep(10_020, &mut out);
+        assert_eq!(c.stats().late_fires, 1);
+        assert_eq!(c.stats().delay_max_ticks, 5_000);
+        assert_eq!(out.len(), 2);
     }
 }

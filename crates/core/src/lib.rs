@@ -31,7 +31,8 @@
 //!   `interrupt_clock_resolution`) over any [`Clock`].
 //! - [`smp`] — the §5.2 multi-CPU idle rules: one designated idle
 //!   checker, halting under rules (a) and (b).
-//! - [`stats`] — facility statistics (fires by origin, delay distribution).
+//! - [`stats`] — [`FacilityStats`]: integer counters only (fires by origin,
+//!   exact delay sum and maximum, fires past the `X` bound).
 //!
 //! # Example
 //!

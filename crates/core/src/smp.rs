@@ -12,7 +12,7 @@
 //! [`SmpFacility`] models exactly that designation logic around a shared
 //! [`SoftTimerCore`]. It is single-threaded by design (the simulator's
 //! machines interleave CPUs through the event loop); the real-time
-//! multi-threaded embedding is [`crate::rt`].
+//! multi-threaded embedding is `st-rt`.
 
 use st_wheel::TimerHandle;
 

@@ -1,13 +1,15 @@
-//! Facility statistics: fire counts by origin and the delay distribution.
+//! Facility statistics: fire counts by origin and exact integer delay
+//! evidence.
 
-use st_stats::{Histogram, Summary};
-
-/// Counters and distributions accumulated by a [`crate::SoftTimerCore`].
+/// Integer counters accumulated by a [`crate::SoftTimerCore`].
 ///
-/// The delay histogram uses 1-tick buckets up to 2048 ticks (2 ms at the
-/// default 1 MHz measurement clock) — wide enough to hold the paper's
-/// worst-case delay of one backup-interrupt period (1 ms).
-#[derive(Debug, Clone)]
+/// Everything here is a count or an exact sum in measurement ticks, so it
+/// means the same in any tick unit (µs in the simulator, ns on the host)
+/// and recording a fire costs a handful of integer operations. The delay
+/// *distribution* belongs to whoever reads it: a trace session sees every
+/// delay through `st_trace::observe("facility.delay_ticks")`, the host
+/// runtime keeps its own wall-clock histograms.
+#[derive(Debug, Clone, Default)]
 pub struct FacilityStats {
     /// Events scheduled.
     pub scheduled: u64,
@@ -34,10 +36,13 @@ pub struct FacilityStats {
     /// supervising runtime moved the backup grid (degradation entries
     /// and exits both count; no-op retunes do not).
     pub backup_retunes: u64,
-    /// Delay past the earliest legal tick, in measurement ticks.
-    pub delay_ticks: Summary,
-    /// Delay histogram (1-tick buckets).
-    pub delay_hist: Histogram,
+    /// Largest delay past the earliest legal tick of any fire, in ticks.
+    pub delay_max_ticks: u64,
+    /// Fires whose delay exceeded `X` (the backup period in ticks, read
+    /// at the fire): the paper's `(S+T, S+T+X+1)` bound was missed, which
+    /// only happens when the backup interrupt itself stalled. A non-zero
+    /// value is worth alarming on.
+    pub late_fires: u64,
     /// Fires counted independently of the per-origin split, so
     /// [`FacilityStats::fired`] can cross-check the parts in debug
     /// builds.
@@ -49,21 +54,7 @@ pub struct FacilityStats {
 impl FacilityStats {
     /// Creates zeroed statistics.
     pub fn new() -> Self {
-        FacilityStats {
-            scheduled: 0,
-            canceled: 0,
-            checks: 0,
-            backup_sweeps: 0,
-            fired_trigger: 0,
-            fired_backup: 0,
-            clock_regressions: 0,
-            handler_panics: 0,
-            backup_retunes: 0,
-            delay_ticks: Summary::new(),
-            delay_hist: Histogram::new(1.0, 2048),
-            fired_total: 0,
-            delay_sum_ticks: 0,
-        }
+        FacilityStats::default()
     }
 
     /// Exact integer sum of every recorded fire delay, in ticks.
@@ -101,43 +92,22 @@ impl FacilityStats {
         }
     }
 
-    /// Fires whose delay exceeded the histogram range (2048 ticks).
-    ///
-    /// Such delays still contribute to [`FacilityStats::delay_ticks`]
-    /// exactly, but only land in the histogram's overflow bucket; this
-    /// accessor makes that truncation explicit instead of silent. A
-    /// non-zero value means the facility went more than two backup
-    /// periods (at the default 1 kHz backup clock) without any check —
-    /// a stall worth alarming on.
-    pub fn delay_overflow(&self) -> u64 {
-        self.delay_hist.overflow()
-    }
-
-    /// Fraction of fires whose delay overflowed the histogram range.
-    pub fn delay_overflow_fraction(&self) -> f64 {
-        let total = self.fired();
-        if total == 0 {
-            0.0
-        } else {
-            self.delay_overflow() as f64 / total as f64
-        }
-    }
-
-    pub(crate) fn record_fire(&mut self, origin: crate::facility::FireOrigin, delay: u64) {
+    /// Records one fire `delay` ticks past its earliest legal tick;
+    /// `x_ticks` is the backup period in force at this fire.
+    pub(crate) fn record_fire(
+        &mut self,
+        origin: crate::facility::FireOrigin,
+        delay: u64,
+        x_ticks: u64,
+    ) {
         self.fired_total += 1;
         match origin {
             crate::facility::FireOrigin::TriggerState => self.fired_trigger += 1,
             crate::facility::FireOrigin::BackupInterrupt => self.fired_backup += 1,
         }
-        self.delay_ticks.record(delay as f64);
-        self.delay_hist.record(delay as f64);
         self.delay_sum_ticks += delay;
-    }
-}
-
-impl Default for FacilityStats {
-    fn default() -> Self {
-        FacilityStats::new()
+        self.delay_max_ticks = self.delay_max_ticks.max(delay);
+        self.late_fires += u64::from(delay > x_ticks);
     }
 }
 
@@ -150,38 +120,17 @@ mod tests {
     fn counts_and_fractions() {
         let mut s = FacilityStats::new();
         assert_eq!(s.backup_fraction(), 0.0);
-        s.record_fire(FireOrigin::TriggerState, 5);
-        s.record_fire(FireOrigin::TriggerState, 15);
-        s.record_fire(FireOrigin::BackupInterrupt, 900);
-        assert_eq!(s.fired(), 3);
+        s.record_fire(FireOrigin::TriggerState, 5, 1000);
+        s.record_fire(FireOrigin::TriggerState, 15, 1000);
+        s.record_fire(FireOrigin::BackupInterrupt, 1000, 1000); // at X: inside the bound
+        s.record_fire(FireOrigin::BackupInterrupt, 1001, 1000); // past X: late
+        assert_eq!(s.fired(), 4);
         // fired() debug-asserts this; recompute so release builds
         // exercise the cross-check too.
         assert_eq!(s.fired(), s.fired_trigger + s.fired_backup);
-        assert!((s.backup_fraction() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((s.delay_ticks.mean() - (5.0 + 15.0 + 900.0) / 3.0).abs() < 1e-9);
-        assert_eq!(s.delay_hist.count(), 3);
-        assert_eq!(s.delay_sum_ticks(), 5 + 15 + 900);
-    }
-
-    #[test]
-    fn delays_past_histogram_cap_are_visible_not_silent() {
-        let mut s = FacilityStats::new();
-        s.record_fire(FireOrigin::TriggerState, 100);
-        s.record_fire(FireOrigin::BackupInterrupt, 2047); // last in-range bucket
-        s.record_fire(FireOrigin::BackupInterrupt, 2048); // first overflowing delay
-        s.record_fire(FireOrigin::BackupInterrupt, 1_000_000);
-        assert_eq!(s.delay_overflow(), 2);
-        assert!((s.delay_overflow_fraction() - 0.5).abs() < 1e-12);
-        // Nothing vanished: the histogram still counts every fire, and
-        // the exact summary still sees the full delay.
-        assert_eq!(s.delay_hist.count(), s.fired());
-        assert_eq!(s.delay_ticks.max(), Some(1_000_000.0));
-    }
-
-    #[test]
-    fn overflow_fraction_is_zero_when_nothing_fired() {
-        let s = FacilityStats::new();
-        assert_eq!(s.delay_overflow(), 0);
-        assert_eq!(s.delay_overflow_fraction(), 0.0);
+        assert!((s.backup_fraction() - 0.5).abs() < 1e-12);
+        assert_eq!(s.delay_sum_ticks(), 5 + 15 + 1000 + 1001);
+        assert_eq!(s.delay_max_ticks, 1001);
+        assert_eq!(s.late_fires, 1);
     }
 }

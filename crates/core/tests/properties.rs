@@ -6,7 +6,7 @@
 //! so failures replay exactly) instead of an external property-testing
 //! framework — the workspace builds with no network access.
 
-use st_core::facility::{Config, Expired, SoftTimerCore};
+use st_core::facility::{Config, Expired, FireOrigin, SoftTimerCore};
 use st_core::pacer::{Pacer, PacerConfig};
 use st_core::poller::{PollController, PollControllerConfig};
 use st_sim::SimRng;
@@ -15,7 +15,8 @@ const CASES: u64 = 128;
 
 /// With a backup interrupt every `X` ticks and arbitrary trigger-state
 /// times, every event fires at an actual delta strictly inside the
-/// paper's `(T, T + X + 1)` bound.
+/// paper's `(T, T + X + 1)` bound — and the facility's integer counters
+/// equal what the `Expired` stream recomputes to.
 #[test]
 fn facility_firing_bounds() {
     let mut rng = SimRng::seed(0xb0_07d);
@@ -31,7 +32,6 @@ fn facility_firing_bounds() {
         let config = Config {
             measure_hz: 1_000_000,
             interrupt_hz: 1_000_000 / x,
-            record_stats: true,
         };
         let x = config.x_ticks(); // Integer division may round; use actual.
         let mut core: SoftTimerCore<(u64, u64)> = SoftTimerCore::new(config);
@@ -83,6 +83,28 @@ fn facility_firing_bounds() {
                 ev.delay()
             );
         }
+
+        // The counters have one writer (the fire path); recompute each
+        // from the stream it produced.
+        let stats = core.stats();
+        assert_eq!(stats.fired(), fired.len() as u64, "case {case}");
+        let by_backup = fired
+            .iter()
+            .filter(|e| e.origin == FireOrigin::BackupInterrupt)
+            .count() as u64;
+        assert_eq!(stats.fired_backup, by_backup, "case {case}");
+        assert_eq!(
+            stats.delay_sum_ticks(),
+            fired.iter().map(Expired::delay).sum::<u64>(),
+            "case {case}"
+        );
+        assert_eq!(
+            stats.delay_max_ticks,
+            fired.iter().map(Expired::delay).max().unwrap_or(0),
+            "case {case}"
+        );
+        // Every backup sweep happened, so nothing may be past X.
+        assert_eq!(stats.late_fires, 0, "case {case}");
     }
 }
 

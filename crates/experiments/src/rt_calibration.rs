@@ -146,7 +146,6 @@ pub fn sim_side(inputs: &SimInputs, seed: u64) -> SimSide {
     let mut core: SoftTimerCore<SimEvent> = SoftTimerCore::new(Config {
         measure_hz: 1_000_000_000,
         interrupt_hz: (1_000_000_000 / inputs.backup_period_ns.max(1)).max(1),
-        record_stats: true,
     });
     for &period_ns in &inputs.timer_periods_ns {
         let p = period_ns.max(1);

@@ -139,11 +139,6 @@ impl FaultyClock {
         }
     }
 
-    /// True (fault-free) ticks, for harness bookkeeping.
-    pub fn true_time(&self) -> u64 {
-        self.true_ticks.get()
-    }
-
     /// Forward jumps injected so far.
     pub fn jumps_injected(&self) -> u64 {
         self.jumps.get()

@@ -241,7 +241,6 @@ impl Harness {
         let config = Config {
             measure_hz: 1_000_000,
             interrupt_hz: 1_000,
-            record_stats: true,
         };
         let x = config.x_ticks();
 

@@ -72,12 +72,6 @@ impl Scheduler {
         }
     }
 
-    /// FreeBSD's default: a 10 ms time slice (section 5.4 calls 10 ms
-    /// "a timeslice in the FreeBSD system").
-    pub fn freebsd_default() -> Self {
-        Scheduler::new(SimDuration::from_millis(10))
-    }
-
     /// The configured time slice.
     pub fn slice(&self) -> SimDuration {
         self.slice

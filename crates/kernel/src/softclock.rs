@@ -54,11 +54,6 @@ impl<P> SoftClock<P> {
         &self.core
     }
 
-    /// Mutable access to the underlying facility.
-    pub fn core_mut(&mut self) -> &mut SoftTimerCore<P> {
-        &mut self.core
-    }
-
     /// Schedules an event at least `delta_ticks` measurement ticks after
     /// `now`.
     pub fn schedule(&mut self, now: SimTime, delta_ticks: u64, payload: P) -> TimerHandle {
@@ -83,12 +78,6 @@ impl<P> SoftClock<P> {
         self.recorder.record(now, source);
         let t = self.ticks(now);
         self.core.poll(t, out)
-    }
-
-    /// Records a trigger state without polling (used when measuring the
-    /// trigger distribution alone, with no events scheduled).
-    pub fn trigger_no_poll(&mut self, now: SimTime, source: TriggerSource) {
-        self.recorder.record(now, source);
     }
 
     /// The backup hardware-timer sweep at `now`. Note the sweep itself is

@@ -113,11 +113,6 @@ impl Link {
         )
     }
 
-    /// When the forward transmitter frees up.
-    pub fn forward_busy_until(&self) -> SimTime {
-        self.forward.busy_until
-    }
-
     /// Frames sent forward so far.
     pub fn forward_frames(&self) -> u64 {
         self.forward.frames

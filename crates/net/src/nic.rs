@@ -53,19 +53,9 @@ impl Nic {
         Nic::new(256)
     }
 
-    /// Enables receive interrupts.
-    pub fn enable_rx_interrupts(&mut self) {
-        self.rx_intr_enabled = true;
-    }
-
     /// Disables receive interrupts (polled operation).
     pub fn disable_rx_interrupts(&mut self) {
         self.rx_intr_enabled = false;
-    }
-
-    /// Whether receive interrupts are enabled.
-    pub fn rx_interrupts_enabled(&self) -> bool {
-        self.rx_intr_enabled
     }
 
     /// The wire delivers a frame at `now`. Returns `true` when the NIC

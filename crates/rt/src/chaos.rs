@@ -15,7 +15,7 @@
 //! Three injection mechanisms:
 //!
 //! - **thread stalls** — absolute `(at_ns, duration_ns)` windows a lane
-//!   executes as heartbeat-silent busy spins ([`LaneCtl`] in `host`),
+//!   executes as heartbeat-silent busy spins (`LaneCtl` in `host`),
 //!   modeling a wedged or preempted runtime thread;
 //! - **callback panics** — per-fire decisions from a hash of the fire
 //!   sequence number ([`ChaosState::should_panic`]), caught by the
@@ -116,11 +116,6 @@ impl FaultClock {
     /// How many scheduled jumps have been applied so far.
     pub fn jumps_applied(&self) -> u64 {
         self.applied.load(Ordering::Relaxed) as u64
-    }
-
-    /// Total jumps scheduled.
-    pub fn jumps_scheduled(&self) -> u64 {
-        self.jumps.len() as u64
     }
 }
 

@@ -38,7 +38,8 @@ use st_trace::json::ObjectBuilder;
 use crate::chaos::{ChaosSchedule, ChaosState, FaultClock};
 use crate::clock::nanos;
 use crate::host::{
-    backup_loop, finish_report, measure_loop, HostConfig, HostReport, LaneCtl, Shared, ThreadOut,
+    finish_report, hist_json, lane_classes, HostConfig, HostReport, LaneClass, Lanes, Shared,
+    SUB_BUCKET_BITS,
 };
 use crate::shared::{interrupt_hz, lock_recoveries};
 
@@ -65,29 +66,6 @@ impl Heartbeat {
     /// The last recorded beat (ns).
     pub fn last(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// What kind of trigger source a supervised lane is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneClass {
-    /// A worker running the synthetic task loop.
-    Worker,
-    /// The idle polling thread — the trigger stream whose starvation
-    /// triggers degradation.
-    IdlePoll,
-    /// The periodic backup sweep.
-    Backup,
-}
-
-impl LaneClass {
-    /// Stable lowercase name for telemetry and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            LaneClass::Worker => "worker",
-            LaneClass::IdlePoll => "idle_poll",
-            LaneClass::Backup => "backup",
-        }
     }
 }
 
@@ -358,77 +336,6 @@ pub struct GuardReport {
     pub scan_period_ns: u64,
 }
 
-/// Everything the supervisor thread accumulates and hands back.
-struct SupervisorOut {
-    scans: u64,
-    detections: u64,
-    detect_age_ns: HdrHistogram,
-    restarts: u64,
-    recoveries: u64,
-    giveups: u64,
-    degraded_windows: u64,
-    degraded_window_ns: HdrHistogram,
-    lane_outs: Vec<(LaneClass, ThreadOut)>,
-}
-
-impl SupervisorOut {
-    fn new(bits: u32) -> Self {
-        SupervisorOut {
-            scans: 0,
-            detections: 0,
-            detect_age_ns: HdrHistogram::new(bits),
-            restarts: 0,
-            recoveries: 0,
-            giveups: 0,
-            degraded_windows: 0,
-            degraded_window_ns: HdrHistogram::new(bits),
-            lane_outs: Vec::new(),
-        }
-    }
-}
-
-struct LaneRuntime {
-    class: LaneClass,
-    hb: Heartbeat,
-    gen: Arc<AtomicU64>,
-    stalls: Vec<(u64, u64)>,
-    handles: Vec<std::thread::JoinHandle<ThreadOut>>,
-}
-
-fn spawn_lane(
-    shared: &Arc<Shared>,
-    class: LaneClass,
-    work_ns: u64,
-    pause_ns: u64,
-    bits: u32,
-    ctl: LaneCtl,
-    generation: u64,
-) -> std::thread::JoinHandle<ThreadOut> {
-    let s = Arc::clone(shared);
-    let name = format!("st-guard-{}-g{generation}", class.name());
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || match class {
-            LaneClass::Worker => measure_loop(&s, work_ns.max(1), 0, bits, ctl),
-            LaneClass::IdlePoll => measure_loop(&s, 0, pause_ns, bits, ctl),
-            LaneClass::Backup => backup_loop(&s, bits, ctl),
-        })
-        // Same one-time startup contract as the plain runtime.
-        .expect("failed to spawn lane thread")
-}
-
-/// The supervised lane layout for a host configuration: workers, then
-/// the idle poller (when configured), then the backup sweep. Shared with
-/// the `rt_chaos` sim twin so both sides supervise the same lane set.
-pub fn lane_classes(host: &HostConfig) -> Vec<LaneClass> {
-    let mut classes: Vec<LaneClass> = vec![LaneClass::Worker; host.workers];
-    if host.idle_poller {
-        classes.push(LaneClass::IdlePoll);
-    }
-    classes.push(LaneClass::Backup);
-    classes
-}
-
 /// Expands a [`ChaosConfig`] into per-lane stall windows plus the full
 /// [`ChaosSchedule`], deterministically. Backup lanes never stall (the
 /// backup sweep is the safety net under test, not the fault surface);
@@ -467,24 +374,98 @@ pub fn plan_lane_stalls(
     (lane_stalls, schedule)
 }
 
-/// Runs the host runtime under supervision for `config.host.duration`
-/// and reports what happened: the host measurements plus detections,
-/// restarts, degraded windows, and the chaos actually injected.
-pub fn run_guarded(config: &GuardConfig) -> GuardReport {
-    let bits = config.host.sub_bucket_bits;
-    let duration_ns = nanos(config.host.duration);
+/// The supervisor thread: every `scan_period` read the lanes' heartbeats,
+/// let the pure [`SupervisorCore`] decide, execute what it decided on the
+/// lane table and the facility, and account it straight into `report`.
+fn supervise(config: &GuardConfig, shared: &Shared, lanes: &mut Lanes, report: &mut GuardReport) {
     let degraded_period_ns = nanos(config.degraded_backup_period).max(1);
     let normal_period_ns = nanos(config.host.backup_period).max(1);
+    let mut core = SupervisorCore::new(
+        SupervisorConfig {
+            stall_window_ns: nanos(config.stall_window),
+            restart_budget: config.restart_budget,
+            restart_backoff_ns: nanos(config.restart_backoff),
+        },
+        lane_classes(&config.host),
+    );
+    let retune = |period_ns: u64| {
+        shared.backup_period_ns.store(period_ns, Ordering::Relaxed);
+        shared.core.lock().set_interrupt_hz(interrupt_hz(period_ns));
+    };
+    let mut actions: Vec<Action> = Vec::new();
+    let mut beats: Vec<u64> = Vec::new();
+    let mut degraded_since: Option<u64> = None;
+    while !shared.stop.load(Ordering::Relaxed) {
+        std::thread::sleep(config.scan_period);
+        let now = shared.clock.now_ns();
+        lanes.last_beats(&mut beats);
+        actions.clear();
+        core.scan(now, &beats, &mut actions);
+        report.scans += 1;
+        for action in &actions {
+            match *action {
+                Action::Detected { age_ns, .. } => {
+                    report.detections += 1;
+                    report.detect_age_ns.record(age_ns);
+                    if st_trace::active() {
+                        st_trace::count("rt.guard.detections", 1);
+                    }
+                    st_trace::observe_window("rt.guard.detect_age_ns", age_ns as f64);
+                }
+                Action::Restart { lane, attempt } => {
+                    report.restarts += 1;
+                    lanes.restart(lane, now);
+                    if st_trace::active() {
+                        st_trace::count("rt.guard.restarts", 1);
+                    }
+                    st_trace::observe_window("rt.guard.restart_attempt", attempt as f64);
+                }
+                Action::Recovered { .. } => report.recoveries += 1,
+                Action::GiveUp { .. } => {
+                    report.giveups += 1;
+                    if st_trace::active() {
+                        st_trace::count("rt.guard.giveups", 1);
+                    }
+                }
+                Action::Degrade => {
+                    report.degraded_windows += 1;
+                    degraded_since = Some(now);
+                    retune(degraded_period_ns);
+                    shared.degraded.store(true, Ordering::Relaxed);
+                    st_trace::gauge(now, "rt.guard.degraded", 1.0);
+                }
+                Action::Restore => {
+                    shared.degraded.store(false, Ordering::Relaxed);
+                    retune(normal_period_ns);
+                    if let Some(start) = degraded_since.take() {
+                        report.degraded_window_ns.record(now.saturating_sub(start));
+                    }
+                    st_trace::gauge(now, "rt.guard.degraded", 0.0);
+                }
+            }
+        }
+    }
+    // A window still open at shutdown closes at stop time.
+    if let Some(start) = degraded_since.take() {
+        let now = shared.clock.now_ns();
+        report.degraded_window_ns.record(now.saturating_sub(start));
+    }
+}
 
-    let classes = lane_classes(&config.host);
-
+/// Runs the host runtime under supervision for `config.host.duration`
+/// and reports what happened: the host measurements plus detections,
+/// restarts, degraded windows, and the chaos actually injected. The same
+/// launch → sleep → stop → join → fold as `host::run`, with the
+/// supervisor thread holding the lane table in between.
+pub fn run_guarded(config: &GuardConfig) -> GuardReport {
     // Fix the whole chaos run up front from the plan's seed.
-    let mut lane_stalls: Vec<Vec<(u64, u64)>> = vec![Vec::new(); classes.len()];
+    let mut lane_stalls = Vec::new();
     let mut jumps = Vec::new();
     let mut chaos_state = None;
     let mut stalls_injected = 0u64;
     if let Some(ch) = &config.chaos {
-        let (stalls, schedule) = plan_lane_stalls(&classes, ch, duration_ns);
+        let classes = lane_classes(&config.host);
+        let (stalls, schedule) = plan_lane_stalls(&classes, ch, nanos(config.host.duration));
         lane_stalls = stalls;
         stalls_injected = schedule.stall_count();
         jumps = schedule.jumps.clone();
@@ -493,207 +474,59 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
 
     let lock_recoveries_before = lock_recoveries();
     let shared = Shared::build(&config.host, FaultClock::with_jumps(jumps), chaos_state);
-    let work_ns = nanos(config.host.task_work);
-    let pause_ns = nanos(config.host.idle_pause);
+    let mut lanes = Lanes::launch(&shared, &config.host, lane_stalls);
 
-    let now0 = shared.clock.now_ns();
-    let mut lanes: Vec<LaneRuntime> = Vec::with_capacity(classes.len());
-    for (i, class) in classes.iter().enumerate() {
-        let hb = Heartbeat::starting_at(now0);
-        let gen = Arc::new(AtomicU64::new(0));
-        let ctl = LaneCtl::supervised(hb.clone(), Arc::clone(&gen), 0, lane_stalls[i].clone());
-        let handle = spawn_lane(&shared, *class, work_ns, pause_ns, bits, ctl, 0);
-        lanes.push(LaneRuntime {
-            class: *class,
-            hb,
-            gen,
-            stalls: lane_stalls[i].clone(),
-            handles: vec![handle],
-        });
-    }
-
-    let supervisor = {
-        let shared = Arc::clone(&shared);
-        let sup_config = SupervisorConfig {
-            stall_window_ns: nanos(config.stall_window),
-            restart_budget: config.restart_budget,
-            restart_backoff_ns: nanos(config.restart_backoff),
-        };
-        let scan_period = config.scan_period;
-        let classes = classes.clone();
-        std::thread::Builder::new()
-            .name("st-guard-supervisor".into())
-            .spawn(move || {
-                let mut core = SupervisorCore::new(sup_config, classes);
-                let mut out = SupervisorOut::new(bits);
-                let mut actions: Vec<Action> = Vec::new();
-                let mut beats: Vec<u64> = vec![0; lanes.len()];
-                let mut degraded_since: Option<u64> = None;
-                let mut lanes = lanes;
-                while !shared.stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(scan_period);
-                    let now = shared.clock.now_ns();
-                    for (b, lane) in beats.iter_mut().zip(&lanes) {
-                        *b = lane.hb.last();
-                    }
-                    actions.clear();
-                    core.scan(now, &beats, &mut actions);
-                    out.scans += 1;
-                    for action in &actions {
-                        match *action {
-                            Action::Detected { age_ns, .. } => {
-                                out.detections += 1;
-                                out.detect_age_ns.record(age_ns);
-                                if st_trace::active() {
-                                    st_trace::count("rt.guard.detections", 1);
-                                }
-                                st_trace::observe_window("rt.guard.detect_age_ns", age_ns as f64);
-                            }
-                            Action::Restart { lane, attempt } => {
-                                out.restarts += 1;
-                                let l = &mut lanes[lane];
-                                // Supersede the wedged generation, reset
-                                // the heartbeat so the replacement gets a
-                                // full window, and skip stall windows
-                                // already begun — the replacement models
-                                // a fresh thread, not a re-wedged one.
-                                let generation = l.gen.fetch_add(1, Ordering::Relaxed) + 1;
-                                l.hb.beat(now);
-                                let remaining: Vec<(u64, u64)> = l
-                                    .stalls
-                                    .iter()
-                                    .copied()
-                                    .filter(|&(at, _)| at > now)
-                                    .collect();
-                                let ctl = LaneCtl::supervised(
-                                    l.hb.clone(),
-                                    Arc::clone(&l.gen),
-                                    generation,
-                                    remaining,
-                                );
-                                l.handles.push(spawn_lane(
-                                    &shared, l.class, work_ns, pause_ns, bits, ctl, generation,
-                                ));
-                                if st_trace::active() {
-                                    st_trace::count("rt.guard.restarts", 1);
-                                }
-                                st_trace::observe_window(
-                                    "rt.guard.restart_attempt",
-                                    attempt as f64,
-                                );
-                            }
-                            Action::Recovered { .. } => out.recoveries += 1,
-                            Action::GiveUp { .. } => {
-                                out.giveups += 1;
-                                if st_trace::active() {
-                                    st_trace::count("rt.guard.giveups", 1);
-                                }
-                            }
-                            Action::Degrade => {
-                                out.degraded_windows += 1;
-                                degraded_since = Some(now);
-                                shared
-                                    .backup_period_ns
-                                    .store(degraded_period_ns, Ordering::Relaxed);
-                                shared
-                                    .core
-                                    .lock()
-                                    .set_interrupt_hz(interrupt_hz(degraded_period_ns));
-                                shared.degraded.store(true, Ordering::Relaxed);
-                                st_trace::gauge(now, "rt.guard.degraded", 1.0);
-                            }
-                            Action::Restore => {
-                                shared.degraded.store(false, Ordering::Relaxed);
-                                shared
-                                    .backup_period_ns
-                                    .store(normal_period_ns, Ordering::Relaxed);
-                                shared
-                                    .core
-                                    .lock()
-                                    .set_interrupt_hz(interrupt_hz(normal_period_ns));
-                                if let Some(start) = degraded_since.take() {
-                                    out.degraded_window_ns.record(now.saturating_sub(start));
-                                }
-                                st_trace::gauge(now, "rt.guard.degraded", 0.0);
-                            }
-                        }
-                    }
-                }
-                // A window still open at shutdown closes at stop time.
-                if let Some(start) = degraded_since.take() {
-                    let now = shared.clock.now_ns();
-                    out.degraded_window_ns.record(now.saturating_sub(start));
-                }
-                for lane in lanes {
-                    for handle in lane.handles {
-                        if let Ok(t) = handle.join() {
-                            out.lane_outs.push((lane.class, t));
-                        }
-                    }
-                }
-                out
-            })
-            .expect("failed to spawn supervisor thread")
-    };
-
-    let started = shared.clock.now_ns();
-    std::thread::sleep(config.host.duration);
-    shared.stop.store(true, Ordering::Relaxed);
-    let measured_ns = shared.clock.now_ns().saturating_sub(started).max(1);
-    let sup = supervisor
-        .join()
-        .unwrap_or_else(|_| SupervisorOut::new(bits));
-
-    let mut worker_outs = Vec::new();
-    let mut idle_outs = Vec::new();
-    let mut backup_outs = Vec::new();
-    // Superseded generations are in `lane_outs` too: what a wedged thread
-    // fired before its restart still counts.
-    let mut degraded_delay_ns = HdrHistogram::new(bits);
-    for (class, t) in sup.lane_outs {
-        degraded_delay_ns.merge(&t.fires.degraded_delay);
-        match class {
-            LaneClass::Worker => worker_outs.push(t),
-            LaneClass::IdlePoll => idle_outs.push(t),
-            LaneClass::Backup => backup_outs.push(t),
-        }
-    }
-    let lanes_total = classes.len();
-    let host_report = finish_report(
-        &shared,
-        config.host.workers,
-        measured_ns,
-        bits,
-        worker_outs,
-        idle_outs,
-        backup_outs,
-    );
-    let (panics_injected, clock_jumps_applied) = (
-        shared.chaos.as_ref().map_or(0, |c| c.panics_injected()),
-        shared.clock.jumps_applied(),
-    );
-    GuardReport {
-        degraded_delay_ns,
-        // The dispatch boundary notes each panic it catches in the core.
-        panics_caught: host_report.stats.handler_panics,
-        host: host_report,
-        lanes: lanes_total,
-        scans: sup.scans,
+    // The report exists before the run so the supervisor accounts into
+    // it in place; `host` is folded again once the lanes are joined.
+    let mut report = GuardReport {
+        host: finish_report(&shared, config.host.workers, 1, Vec::new()),
+        lanes: lane_classes(&config.host).len(),
+        scans: 0,
         stalls_injected,
-        clock_jumps_applied,
-        panics_injected,
-        detections: sup.detections,
-        detect_age_ns: sup.detect_age_ns,
-        restarts: sup.restarts,
-        recoveries: sup.recoveries,
-        giveups: sup.giveups,
-        degraded_windows: sup.degraded_windows,
-        degraded_window_ns: sup.degraded_window_ns,
-        envelope_ns: degraded_period_ns.saturating_add(nanos(config.envelope_slack)),
-        lock_recoveries: lock_recoveries().saturating_sub(lock_recoveries_before),
+        clock_jumps_applied: 0,
+        panics_injected: 0,
+        panics_caught: 0,
+        detections: 0,
+        detect_age_ns: HdrHistogram::new(SUB_BUCKET_BITS),
+        restarts: 0,
+        recoveries: 0,
+        giveups: 0,
+        degraded_windows: 0,
+        degraded_window_ns: HdrHistogram::new(SUB_BUCKET_BITS),
+        degraded_delay_ns: HdrHistogram::new(SUB_BUCKET_BITS),
+        envelope_ns: nanos(config.degraded_backup_period)
+            .max(1)
+            .saturating_add(nanos(config.envelope_slack)),
+        lock_recoveries: 0,
         stall_window_ns: nanos(config.stall_window),
         scan_period_ns: nanos(config.scan_period),
+    };
+    let measured_ns = std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("st-guard-supervisor".into())
+            .spawn_scoped(scope, || {
+                supervise(config, &shared, &mut lanes, &mut report)
+            })
+            .expect("failed to spawn supervisor thread");
+        let started = shared.clock.now_ns();
+        std::thread::sleep(config.host.duration);
+        shared.stop.store(true, Ordering::Relaxed);
+        shared.clock.now_ns().saturating_sub(started).max(1)
+    });
+
+    // Superseded generations are joined too: what a wedged thread fired
+    // before its restart still counts.
+    let outs = lanes.join();
+    for (_, out) in &outs {
+        report.degraded_delay_ns.merge(&out.fires.degraded_delay);
     }
+    report.host = finish_report(&shared, config.host.workers, measured_ns, outs);
+    // The dispatch boundary notes each panic it catches in the core.
+    report.panics_caught = report.host.stats.handler_panics;
+    report.panics_injected = shared.chaos.as_ref().map_or(0, |c| c.panics_injected());
+    report.clock_jumps_applied = shared.clock.jumps_applied();
+    report.lock_recoveries = lock_recoveries().saturating_sub(lock_recoveries_before);
+    report
 }
 
 impl GuardReport {
@@ -715,16 +548,6 @@ impl GuardReport {
     /// Single-line JSON document (schema `st-rt-guard-v1`); the inner
     /// host report nests under `"host"`.
     pub fn to_json(&self) -> String {
-        let hist = |h: &HdrHistogram| {
-            let q = |p: f64| h.quantile(p).unwrap_or(0);
-            ObjectBuilder::new()
-                .u64("count", h.count())
-                .u64("min", h.min().unwrap_or(0))
-                .u64("p50", q(0.5))
-                .u64("p99", q(0.99))
-                .u64("max", h.max().unwrap_or(0))
-                .build()
-        };
         ObjectBuilder::new()
             .str("schema", "st-rt-guard-v1")
             .u64("lanes", self.lanes as u64)
@@ -736,13 +559,13 @@ impl GuardReport {
             .u64("panics_injected", self.panics_injected)
             .u64("panics_caught", self.panics_caught)
             .u64("detections", self.detections)
-            .raw("detect_age_ns", &hist(&self.detect_age_ns))
+            .raw("detect_age_ns", &hist_json(&self.detect_age_ns))
             .u64("restarts", self.restarts)
             .u64("recoveries", self.recoveries)
             .u64("giveups", self.giveups)
             .u64("degraded_windows", self.degraded_windows)
             .u64("degraded_total_ns", self.degraded_total_ns())
-            .raw("degraded_delay_ns", &hist(&self.degraded_delay_ns))
+            .raw("degraded_delay_ns", &hist_json(&self.degraded_delay_ns))
             .u64("envelope_ns", self.envelope_ns)
             .f64("envelope_excess_fraction", self.envelope_excess_fraction())
             .u64("lock_recoveries", self.lock_recoveries)
@@ -871,6 +694,36 @@ mod tests {
         st_trace::json::validate(&json).expect("invalid guard JSON");
         assert!(json.contains("\"schema\":\"st-rt-guard-v1\""));
         assert!(json.contains("\"schema\":\"st-rt-host-v1\""));
+    }
+
+    #[test]
+    fn run_and_run_guarded_launch_the_same_lanes() {
+        for idle_poller in [true, false] {
+            let host = HostConfig {
+                workers: 2,
+                duration: Duration::from_millis(40),
+                idle_poller,
+                ..HostConfig::default()
+            };
+            let classes = lane_classes(&host);
+            assert_eq!(classes.len(), 2 + usize::from(idle_poller) + 1);
+            // The table itself: one thread per lane, in lane order.
+            let shared = Shared::build(&host, FaultClock::healthy(), None);
+            let lanes = Lanes::launch(&shared, &host, Vec::new());
+            shared.stop.store(true, Ordering::Relaxed);
+            let launched: Vec<LaneClass> = lanes.join().into_iter().map(|(c, _)| c).collect();
+            assert_eq!(launched, classes);
+            // Both entry points run that table and fold it the same way.
+            let plain = crate::host::run(&host);
+            let guarded = run_guarded(&GuardConfig::new(host));
+            assert_eq!(guarded.lanes, classes.len());
+            for report in [&plain, &guarded.host] {
+                assert_eq!(report.idle_poll.is_some(), idle_poller);
+                assert!(report.task_return.checks > 0);
+                assert!(report.backup_sweep.checks > 0);
+                assert_eq!(report.stats.fired(), report.handler_runs);
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use st_core::{Expired, FireOrigin};
@@ -39,26 +40,47 @@ use crate::guard::Heartbeat;
 pub use crate::shared::lock_recoveries;
 use crate::shared::{Periodic, SharedCore};
 
-/// A real trigger source in the host runtime.
+/// Sub-bucket bits of every [`HdrHistogram`] this crate records into:
+/// 7 bounds the relative error at ~1.6 %.
+pub(crate) const SUB_BUCKET_BITS: u32 = 7;
+
+/// A kind of lane thread, which is also a real trigger source: what the
+/// lane table launches, the supervisor watches and the report is split by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerSource {
-    /// A worker thread finishing one task — the syscall-return shim.
-    TaskReturn,
-    /// The dedicated polling thread — the kernel idle loop.
+pub enum LaneClass {
+    /// A worker running the synthetic task loop; each task return is a
+    /// trigger state — the syscall-return shim.
+    Worker,
+    /// The dedicated polling thread — the kernel idle loop, and the
+    /// trigger stream whose starvation makes the supervisor degrade.
     IdlePoll,
     /// The periodic sweep thread — the backup hardware interrupt.
-    BackupSweep,
+    Backup,
 }
 
-impl TriggerSource {
-    /// Stable lowercase name used in JSON and metric keys.
+impl LaneClass {
+    /// Stable lowercase name of the trigger source, used in JSON, metric
+    /// keys and the lane's thread name.
     pub fn name(self) -> &'static str {
         match self {
-            TriggerSource::TaskReturn => "task_return",
-            TriggerSource::IdlePoll => "idle_poll",
-            TriggerSource::BackupSweep => "backup_sweep",
+            LaneClass::Worker => "task_return",
+            LaneClass::IdlePoll => "idle_poll",
+            LaneClass::Backup => "backup_sweep",
         }
     }
+}
+
+/// The lane layout of a host configuration: workers, then the idle
+/// poller (when configured), then the backup sweep. The one place that
+/// decides which lanes exist — [`run`], `run_guarded` and the `rt_chaos`
+/// sim twin all take it from here.
+pub fn lane_classes(host: &HostConfig) -> Vec<LaneClass> {
+    let mut classes: Vec<LaneClass> = vec![LaneClass::Worker; host.workers];
+    if host.idle_poller {
+        classes.push(LaneClass::IdlePoll);
+    }
+    classes.push(LaneClass::Backup);
+    classes
 }
 
 /// Host runtime configuration.
@@ -82,8 +104,6 @@ pub struct HostConfig {
     /// Periods of the periodic soft-timer events kept armed for the whole
     /// run (the measured workload; each firing is a real dispatch).
     pub timer_periods: Vec<Duration>,
-    /// Histogram precision (sub-bucket bits; 7 => <= ~1.6 % error).
-    pub sub_bucket_bits: u32,
 }
 
 impl Default for HostConfig {
@@ -101,7 +121,6 @@ impl Default for HostConfig {
                 Duration::from_millis(1),
                 Duration::from_millis(5),
             ],
-            sub_bucket_bits: 7,
         }
     }
 }
@@ -133,12 +152,12 @@ pub(crate) struct FireAccum {
 }
 
 impl FireAccum {
-    pub(crate) fn new(bits: u32) -> Self {
+    pub(crate) fn new() -> Self {
         FireAccum {
-            trigger_delay: HdrHistogram::new(bits),
-            backup_delay: HdrHistogram::new(bits),
+            trigger_delay: HdrHistogram::new(SUB_BUCKET_BITS),
+            backup_delay: HdrHistogram::new(SUB_BUCKET_BITS),
             handler_runs: 0,
-            degraded_delay: HdrHistogram::new(bits),
+            degraded_delay: HdrHistogram::new(SUB_BUCKET_BITS),
         }
     }
 }
@@ -211,14 +230,14 @@ pub(crate) struct ThreadOut {
 }
 
 impl ThreadOut {
-    pub(crate) fn empty(bits: u32) -> Self {
+    fn empty() -> Self {
         ThreadOut {
-            intervals: HdrHistogram::new(bits),
-            check_ns: HdrHistogram::new(bits),
+            intervals: HdrHistogram::new(SUB_BUCKET_BITS),
+            check_ns: HdrHistogram::new(SUB_BUCKET_BITS),
             checks: 0,
             facility_ns: 0,
             busy_ns: 0,
-            fires: FireAccum::new(bits),
+            fires: FireAccum::new(),
         }
     }
 }
@@ -249,7 +268,7 @@ fn trimmed_sum_ns(h: &HdrHistogram) -> u64 {
 #[derive(Debug, Clone)]
 pub struct SourceReport {
     /// Which source this is.
-    pub source: TriggerSource,
+    pub source: LaneClass,
     /// Total trigger-state checks performed.
     pub checks: u64,
     /// Checks per second of wall-clock run time.
@@ -352,54 +371,27 @@ fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum
     }
 }
 
-/// Per-lane control block threaded through the measuring loops: the
-/// heartbeat to beat, the generation cell that supersedes this thread
-/// when the supervisor restarts the lane, and the chaos stall windows
-/// this lane must execute. [`LaneCtl::none`] (plain runs) costs two
-/// predictable branches per loop iteration.
+/// Per-lane-thread control block threaded through the measuring loops:
+/// the heartbeat to beat, the generation cell that supersedes this thread
+/// when the lane is restarted, and the chaos stall windows it must
+/// execute. Built only by [`Lanes`]; an unsupervised [`run`] pays one
+/// relaxed load and one relaxed store per loop iteration for it.
 pub(crate) struct LaneCtl {
-    pub(crate) hb: Option<Heartbeat>,
-    /// `(cell, my_generation)`: when the cell moves past my generation a
-    /// replacement lane thread is running and this one must exit.
-    pub(crate) gen: Option<(Arc<AtomicU64>, u64)>,
+    hb: Heartbeat,
+    /// When the cell moves past `my_gen` a replacement lane thread is
+    /// running and this one must exit.
+    gen: Arc<AtomicU64>,
+    my_gen: u64,
     /// Absolute `(at_ns, duration_ns)` stall windows, sorted ascending.
-    pub(crate) stalls: Vec<(u64, u64)>,
+    stalls: Vec<(u64, u64)>,
     stall_idx: usize,
 }
 
 impl LaneCtl {
-    /// No supervision, no chaos: the plain `run()` configuration.
-    pub(crate) fn none() -> Self {
-        LaneCtl {
-            hb: None,
-            gen: None,
-            stalls: Vec::new(),
-            stall_idx: 0,
-        }
-    }
-
-    /// A supervised lane, optionally with stall windows to execute.
-    pub(crate) fn supervised(
-        hb: Heartbeat,
-        gen: Arc<AtomicU64>,
-        my_gen: u64,
-        stalls: Vec<(u64, u64)>,
-    ) -> Self {
-        LaneCtl {
-            hb: Some(hb),
-            gen: Some((gen, my_gen)),
-            stalls,
-            stall_idx: 0,
-        }
-    }
-
-    /// True when the supervisor has spawned a replacement for this lane
-    /// thread and it must exit.
+    /// True when a replacement for this lane thread has been spawned and
+    /// it must exit.
     fn superseded(&self) -> bool {
-        match &self.gen {
-            Some((cell, mine)) => cell.load(Ordering::Relaxed) != *mine,
-            None => false,
-        }
+        self.gen.load(Ordering::Relaxed) != self.my_gen
     }
 
     /// One loop-top bookkeeping step: exits a superseded thread, beats
@@ -413,9 +405,7 @@ impl LaneCtl {
             return false;
         }
         let now = shared.clock.now_ns();
-        if let Some(hb) = &self.hb {
-            hb.beat(now);
-        }
+        self.hb.beat(now);
         if let Some(&(at, dur)) = self.stalls.get(self.stall_idx) {
             if now >= at {
                 self.stall_idx += 1;
@@ -451,14 +441,8 @@ pub(crate) fn trigger_check(
 /// `work_ns` of busy work (0 for the idle loop), hit a trigger state,
 /// time the check, record the inter-check interval. `ctl` carries the
 /// lane's supervision hooks (heartbeat, supersede, chaos stalls).
-pub(crate) fn measure_loop(
-    shared: &Shared,
-    work_ns: u64,
-    pause_ns: u64,
-    bits: u32,
-    mut ctl: LaneCtl,
-) -> ThreadOut {
-    let mut out = ThreadOut::empty(bits);
+fn measure_loop(shared: &Shared, work_ns: u64, pause_ns: u64, mut ctl: LaneCtl) -> ThreadOut {
+    let mut out = ThreadOut::empty();
     let mut buf: Vec<Expired<PeriodicEvent>> = Vec::new();
     let mut last_check: Option<u64> = None;
     let started = shared.clock.now_ns();
@@ -490,8 +474,8 @@ pub(crate) fn measure_loop(
 
 /// The backup-sweep loop: sleep one period (re-read every cycle so the
 /// supervisor's degradation retunes take effect immediately), then sweep.
-pub(crate) fn backup_loop(shared: &Shared, bits: u32, mut ctl: LaneCtl) -> ThreadOut {
-    let mut out = ThreadOut::empty(bits);
+fn backup_loop(shared: &Shared, mut ctl: LaneCtl) -> ThreadOut {
+    let mut out = ThreadOut::empty();
     let mut buf = Vec::new();
     let mut last: Option<u64> = None;
     while !shared.stop.load(Ordering::Relaxed) {
@@ -512,65 +496,136 @@ pub(crate) fn backup_loop(shared: &Shared, bits: u32, mut ctl: LaneCtl) -> Threa
     out
 }
 
-/// Runs the host runtime for `config.duration` and reports what the real
-/// machine did. Spawns `workers + idle_poller + 1` threads; the calling
-/// thread sleeps for the duration and then joins them.
-pub fn run(config: &HostConfig) -> HostReport {
-    let bits = config.sub_bucket_bits;
-    let shared = Shared::build(config, FaultClock::healthy(), None);
+/// One row of the lane table.
+struct Lane {
+    class: LaneClass,
+    hb: Heartbeat,
+    gen: Arc<AtomicU64>,
+    /// Chaos stall windows still ahead of this lane.
+    stalls: Vec<(u64, u64)>,
+    /// One handle per generation: a superseded thread is joined with the
+    /// rest, so what it fired before its restart still counts.
+    handles: Vec<JoinHandle<ThreadOut>>,
+}
 
-    let work_ns = nanos(config.task_work);
-    let pause_ns = nanos(config.idle_pause);
-    let mut worker_handles = Vec::new();
-    for i in 0..config.workers {
-        let s = Arc::clone(&shared);
-        worker_handles.push(
-            std::thread::Builder::new()
-                .name(format!("st-rt-worker-{i}"))
-                .spawn(move || measure_loop(&s, work_ns.max(1), 0, bits, LaneCtl::none()))
-                // One-time startup: a host that cannot spawn threads
-                // cannot run the runtime at all.
-                .expect("failed to spawn worker thread"),
-        );
+/// The lane table: every lane thread of a run — which exist
+/// ([`lane_classes`]), their heartbeats, generation cells, stall windows
+/// and join handles. [`run`] launches it, sleeps, stops and joins;
+/// `run_guarded` lends it to the supervisor thread in between.
+pub(crate) struct Lanes {
+    shared: Arc<Shared>,
+    work_ns: u64,
+    pause_ns: u64,
+    lanes: Vec<Lane>,
+}
+
+impl Lanes {
+    /// Starts generation 0 of every lane `config` has. `stalls[i]` are
+    /// lane `i`'s chaos stall windows (absent = none).
+    pub(crate) fn launch(
+        shared: &Arc<Shared>,
+        config: &HostConfig,
+        mut stalls: Vec<Vec<(u64, u64)>>,
+    ) -> Lanes {
+        let classes = lane_classes(config);
+        stalls.resize(classes.len(), Vec::new());
+        let now = shared.clock.now_ns();
+        let mut table = Lanes {
+            shared: Arc::clone(shared),
+            work_ns: nanos(config.task_work).max(1),
+            pause_ns: nanos(config.idle_pause),
+            lanes: classes
+                .into_iter()
+                .zip(stalls)
+                .map(|(class, stalls)| Lane {
+                    class,
+                    hb: Heartbeat::starting_at(now),
+                    gen: Arc::new(AtomicU64::new(0)),
+                    stalls,
+                    handles: Vec::new(),
+                })
+                .collect(),
+        };
+        for lane in 0..table.lanes.len() {
+            table.spawn(lane);
+        }
+        table
     }
-    let idle_handle = config.idle_poller.then(|| {
-        let s = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("st-rt-idle".into())
-            .spawn(move || measure_loop(&s, 0, pause_ns, bits, LaneCtl::none()))
-            .expect("failed to spawn idle thread")
-    });
-    let backup_handle = {
-        let s = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("st-rt-backup".into())
-            .spawn(move || backup_loop(&s, bits, LaneCtl::none()))
-            .expect("failed to spawn backup thread")
-    };
+
+    /// Spawns a thread for the lane's current generation.
+    fn spawn(&mut self, lane: usize) {
+        let (work_ns, pause_ns) = (self.work_ns, self.pause_ns);
+        let shared = Arc::clone(&self.shared);
+        let l = &mut self.lanes[lane];
+        let class = l.class;
+        let my_gen = l.gen.load(Ordering::Relaxed);
+        let ctl = LaneCtl {
+            hb: l.hb.clone(),
+            gen: Arc::clone(&l.gen),
+            my_gen,
+            stalls: l.stalls.clone(),
+            stall_idx: 0,
+        };
+        let handle = std::thread::Builder::new()
+            .name(format!("st-rt-{}-g{my_gen}", class.name()))
+            .spawn(move || match class {
+                LaneClass::Worker => measure_loop(&shared, work_ns, 0, ctl),
+                LaneClass::IdlePoll => measure_loop(&shared, 0, pause_ns, ctl),
+                LaneClass::Backup => backup_loop(&shared, ctl),
+            })
+            // A host that cannot spawn threads cannot run the runtime
+            // at all.
+            .expect("failed to spawn lane thread");
+        l.handles.push(handle);
+    }
+
+    /// Replaces a wedged lane thread: supersedes its generation, resets
+    /// the heartbeat so the replacement gets a full stall window, and
+    /// drops the stall windows already begun — the replacement models a
+    /// fresh thread, not a re-wedged one.
+    pub(crate) fn restart(&mut self, lane: usize, now: u64) {
+        let l = &mut self.lanes[lane];
+        l.gen.fetch_add(1, Ordering::Relaxed);
+        l.hb.beat(now);
+        l.stalls.retain(|&(at, _)| at > now);
+        self.spawn(lane);
+    }
+
+    /// Each lane's last heartbeat, in lane order.
+    pub(crate) fn last_beats(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(self.lanes.iter().map(|l| l.hb.last()));
+    }
+
+    /// Joins every thread of every generation. A lane thread that
+    /// panicked brings nothing home.
+    pub(crate) fn join(self) -> Vec<(LaneClass, ThreadOut)> {
+        let mut outs = Vec::new();
+        for lane in self.lanes {
+            for handle in lane.handles {
+                if let Ok(out) = handle.join() {
+                    outs.push((lane.class, out));
+                }
+            }
+        }
+        outs
+    }
+}
+
+/// Runs the host runtime for `config.duration` and reports what the real
+/// machine did. Spawns `workers + idle_poller + 1` threads and nothing
+/// else (no supervisor: the heartbeats are beaten and never read); the
+/// calling thread sleeps for the duration and then joins them.
+pub fn run(config: &HostConfig) -> HostReport {
+    let shared = Shared::build(config, FaultClock::healthy(), None);
+    let lanes = Lanes::launch(&shared, config, Vec::new());
 
     let started = shared.clock.now_ns();
     std::thread::sleep(config.duration);
     shared.stop.store(true, Ordering::Relaxed);
     let duration_ns = (shared.clock.now_ns() - started).max(1);
 
-    let worker_outs: Vec<ThreadOut> = worker_handles
-        .into_iter()
-        .filter_map(|h| h.join().ok())
-        .collect();
-    let idle_outs: Vec<ThreadOut> = idle_handle
-        .and_then(|h| h.join().ok())
-        .into_iter()
-        .collect();
-    let backup_outs: Vec<ThreadOut> = backup_handle.join().into_iter().collect();
-    finish_report(
-        &shared,
-        config.workers,
-        duration_ns,
-        bits,
-        worker_outs,
-        idle_outs,
-        backup_outs,
-    )
+    finish_report(&shared, config.workers, duration_ns, lanes.join())
 }
 
 /// Folds the per-thread measurements into a [`HostReport`]. A supervised
@@ -580,60 +635,59 @@ pub(crate) fn finish_report(
     shared: &Shared,
     workers: usize,
     duration_ns: u64,
-    bits: u32,
-    worker_outs: Vec<ThreadOut>,
-    idle_outs: Vec<ThreadOut>,
-    backup_outs: Vec<ThreadOut>,
+    outs: Vec<(LaneClass, ThreadOut)>,
 ) -> HostReport {
-    let source_report = |source, outs: &[ThreadOut]| {
+    let of = |class: LaneClass| outs.iter().filter(move |(c, _)| *c == class);
+    let source_report = |class: LaneClass| {
         let mut report = SourceReport {
-            source,
+            source: class,
             checks: 0,
             density_hz: 0.0,
-            intervals: HdrHistogram::new(bits),
+            intervals: HdrHistogram::new(SUB_BUCKET_BITS),
         };
-        for out in outs {
+        for (_, out) in of(class) {
             report.checks += out.checks;
             report.intervals.merge(&out.intervals);
         }
         report.density_hz = report.checks as f64 / (duration_ns as f64 / 1e9);
         report
     };
-    let task_return = source_report(TriggerSource::TaskReturn, &worker_outs);
-    let idle_poll =
-        (!idle_outs.is_empty()).then(|| source_report(TriggerSource::IdlePoll, &idle_outs));
-    let backup_sweep = source_report(TriggerSource::BackupSweep, &backup_outs);
-    let backup_facility_ns: u64 = backup_outs.iter().map(|out| out.facility_ns).sum();
+    let backup_facility_ns: u64 = of(LaneClass::Backup).map(|(_, out)| out.facility_ns).sum();
 
     let mut facility_ns_total = 0u64;
     let mut busy_ns_total = 0u64;
-    let mut check_cost = HdrHistogram::new(bits);
-    for out in worker_outs.iter().chain(&idle_outs) {
-        check_cost.merge(&out.check_ns);
-        facility_ns_total += out.facility_ns;
-        busy_ns_total += out.busy_ns;
-    }
-
+    let mut check_cost = HdrHistogram::new(SUB_BUCKET_BITS);
     // Every lane thread of every generation dispatched into its own
     // accumulator; the run's fires are their sum.
-    let mut fired_trigger = HdrHistogram::new(bits);
-    let mut fired_backup = HdrHistogram::new(bits);
+    let mut fired_trigger = HdrHistogram::new(SUB_BUCKET_BITS);
+    let mut fired_backup = HdrHistogram::new(SUB_BUCKET_BITS);
     let mut handler_runs = 0u64;
-    for out in worker_outs.iter().chain(&idle_outs).chain(&backup_outs) {
+    for (class, out) in &outs {
+        if *class != LaneClass::Backup {
+            check_cost.merge(&out.check_ns);
+            facility_ns_total += out.facility_ns;
+            busy_ns_total += out.busy_ns;
+        }
         fired_trigger.merge(&out.fires.trigger_delay);
         fired_backup.merge(&out.fires.backup_delay);
         handler_runs += out.fires.handler_runs;
     }
     let stats = shared.core.lock().stats().clone();
-    let fired_total = fired_trigger.count() + fired_backup.count();
+    // A share of nothing is 0, not NaN.
+    let share = |part: u64, whole: u64| {
+        if whole > 0 {
+            part as f64 / whole as f64
+        } else {
+            0.0
+        }
+    };
     HostReport {
         duration_ns,
         workers,
-        backup_share: if fired_total > 0 {
-            fired_backup.count() as f64 / fired_total as f64
-        } else {
-            0.0
-        },
+        backup_share: share(
+            fired_backup.count(),
+            fired_trigger.count() + fired_backup.count(),
+        ),
         fired_trigger: FireReport {
             count: fired_trigger.count(),
             delay_ns: fired_trigger,
@@ -643,27 +697,23 @@ pub(crate) fn finish_report(
             delay_ns: fired_backup,
         },
         handler_runs,
-        facility_cpu_fraction: if busy_ns_total > 0 {
-            trimmed_sum_ns(&check_cost) as f64 / busy_ns_total as f64
-        } else {
-            0.0
-        },
-        facility_cpu_fraction_raw: if busy_ns_total > 0 {
-            facility_ns_total as f64 / busy_ns_total as f64
-        } else {
-            0.0
-        },
+        facility_cpu_fraction: share(trimmed_sum_ns(&check_cost), busy_ns_total),
+        facility_cpu_fraction_raw: share(facility_ns_total, busy_ns_total),
         check_cost,
         backup_cpu_fraction: backup_facility_ns as f64 / duration_ns as f64,
-        task_return,
-        idle_poll,
-        backup_sweep,
+        task_return: source_report(LaneClass::Worker),
+        idle_poll: of(LaneClass::IdlePoll)
+            .next()
+            .map(|_| source_report(LaneClass::IdlePoll)),
+        backup_sweep: source_report(LaneClass::Backup),
         stats,
     }
 }
 
-/// Serializes an [`HdrHistogram`] summary as a JSON object string.
-fn hist_json(h: &HdrHistogram) -> String {
+/// Serializes an [`HdrHistogram`] summary as a JSON object string — the
+/// one shape every document of this crate (`st-rt-host-v1`,
+/// `st-rt-guard-v1`, `st-rt-calibration-v1`) embeds.
+pub(crate) fn hist_json(h: &HdrHistogram) -> String {
     let q = |p: f64| h.quantile(p).unwrap_or(0);
     ObjectBuilder::new()
         .u64("count", h.count())
@@ -686,17 +736,6 @@ fn source_json(s: &SourceReport) -> String {
 }
 
 impl HostReport {
-    /// Mean trigger interval of a source in nanoseconds (0 when the
-    /// source recorded nothing).
-    pub fn mean_interval_ns(&self, source: TriggerSource) -> f64 {
-        let report = match source {
-            TriggerSource::TaskReturn => Some(&self.task_return),
-            TriggerSource::IdlePoll => self.idle_poll.as_ref(),
-            TriggerSource::BackupSweep => Some(&self.backup_sweep),
-        };
-        report.map_or(0.0, |r| r.intervals.mean())
-    }
-
     /// Single-line JSON document (schema `st-rt-host-v1`).
     pub fn to_json(&self) -> String {
         let mut sources = vec![source_json(&self.task_return)];
@@ -772,7 +811,6 @@ mod tests {
             idle_pause: Duration::from_micros(2),
             backup_period: Duration::from_millis(2),
             timer_periods: vec![Duration::from_micros(200), Duration::from_millis(1)],
-            sub_bucket_bits: 7,
         }
     }
 
@@ -816,7 +854,7 @@ mod tests {
             ..quick_config()
         };
         let shared = Shared::build(&config, FaultClock::healthy(), None);
-        let mut acc = FireAccum::new(config.sub_bucket_bits);
+        let mut acc = FireAccum::new();
         let mut buf = Vec::new();
         // Armed from one clock read: all N share their deadlines for ever.
         let mut due = shared.core.earliest();
@@ -895,7 +933,6 @@ mod tests {
             idle_pause: Duration::ZERO,
             backup_period: Duration::from_millis(1),
             timer_periods: vec![Duration::from_micros(500)],
-            sub_bucket_bits: 7,
         });
         assert!(
             report.fired_backup.count > 0,

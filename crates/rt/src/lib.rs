@@ -13,11 +13,15 @@
 //!   below are thin callers of it.
 //! - [`timers`] — [`RtSoftTimers`], the closure-handler runtime for real
 //!   programs: poll it from your event loop's trigger points, a backup
-//!   thread bounds the delay.
+//!   thread bounds the delay. The unsupervised face: [`guard`] does not
+//!   watch it.
 //! - [`host`] — a worker-pool runtime whose task-return points act as
 //!   syscall-return shims, plus an idle-polling thread and a backup-sweep
 //!   thread; measures trigger-interval and fire-delay distributions per
-//!   source and the facility's in-situ CPU share.
+//!   source and the facility's in-situ CPU share. One lane table
+//!   ([`lane_classes`] decides which lanes exist; launch, restart, join)
+//!   serves both [`host::run`], which spawns the lanes and nothing else,
+//!   and [`run_guarded`], which lends the table to a supervisor thread.
 //! - [`probe`] — microbenchmarks fitting the machine's trigger-check /
 //!   dispatch / clock-read costs and sleep-vs-spin wake-up precision, the
 //!   inputs to `CostModel::calibrated_host` and `repro rt_calibration`.
@@ -48,9 +52,11 @@ pub mod timers;
 pub use chaos::{ChaosSchedule, ChaosState, FaultClock};
 pub use clock::NanoClock;
 pub use guard::{
-    lane_classes, plan_lane_stalls, run_guarded, Action, ChaosConfig, GuardConfig, GuardReport,
-    Heartbeat, LaneClass, SupervisorConfig, SupervisorCore,
+    plan_lane_stalls, run_guarded, Action, ChaosConfig, GuardConfig, GuardReport, Heartbeat,
+    SupervisorConfig, SupervisorCore,
 };
-pub use host::{lock_recoveries, FireReport, HostConfig, HostReport, SourceReport, TriggerSource};
+pub use host::{
+    lane_classes, lock_recoveries, FireReport, HostConfig, HostReport, LaneClass, SourceReport,
+};
 pub use probe::Calibration;
 pub use timers::{RtConfig, RtPeriodic, RtSoftTimers};

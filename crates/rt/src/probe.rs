@@ -32,7 +32,7 @@ use st_trace::json::ObjectBuilder;
 
 use crate::chaos::FaultClock;
 use crate::clock::{nanos, NanoClock};
-use crate::host::{trigger_check, FireAccum, HostConfig, Shared};
+use crate::host::{hist_json, trigger_check, FireAccum, HostConfig, Shared, SUB_BUCKET_BITS};
 
 /// Fitted host timing constants plus wake-up precision distributions.
 #[derive(Debug, Clone)]
@@ -196,7 +196,7 @@ pub fn batch_dispatch_cost(clock: &NanoClock) -> f64 {
         ..HostConfig::default()
     };
     let shared = Shared::build(&config, FaultClock::healthy(), None);
-    let mut acc = FireAccum::new(config.sub_bucket_bits);
+    let mut acc = FireAccum::new();
     let mut buf = Vec::new();
     let per_batch = min_per_iter_guarded(clock, 32, 4, &mut 0, || {
         shared.clock.spin_until(shared.core.earliest());
@@ -209,7 +209,7 @@ pub fn batch_dispatch_cost(clock: &NanoClock) -> f64 {
 /// Overshoot distribution of `thread::sleep(requested)` (ns).
 pub fn sleep_slack(clock: &NanoClock, requested: Duration, samples: usize) -> HdrHistogram {
     let req_ns = nanos(requested);
-    let mut h = HdrHistogram::new(7);
+    let mut h = HdrHistogram::new(SUB_BUCKET_BITS);
     for _ in 0..samples {
         let t0 = clock.now_ns();
         std::thread::sleep(requested);
@@ -222,7 +222,7 @@ pub fn sleep_slack(clock: &NanoClock, requested: Duration, samples: usize) -> Hd
 /// Overshoot distribution of a spin-wait past its deadline (ns).
 pub fn spin_slack(clock: &NanoClock, requested: Duration, samples: usize) -> HdrHistogram {
     let req_ns = nanos(requested);
-    let mut h = HdrHistogram::new(7);
+    let mut h = HdrHistogram::new(SUB_BUCKET_BITS);
     for _ in 0..samples {
         let t0 = clock.now_ns();
         let reached = clock.spin_until(t0 + req_ns);
@@ -259,24 +259,14 @@ pub fn calibrate(budget: Duration) -> Calibration {
 impl Calibration {
     /// Single-line JSON document (schema `st-rt-calibration-v1`).
     pub fn to_json(&self) -> String {
-        let hist = |h: &HdrHistogram| {
-            let q = |p: f64| h.quantile(p).unwrap_or(0);
-            ObjectBuilder::new()
-                .u64("count", h.count())
-                .u64("min", h.min().unwrap_or(0))
-                .u64("p50", q(0.5))
-                .u64("p99", q(0.99))
-                .u64("max", h.max().unwrap_or(0))
-                .build()
-        };
         ObjectBuilder::new()
             .str("schema", "st-rt-calibration-v1")
             .f64("clock_read_ns", self.clock_read_ns)
             .f64("trigger_check_ns", self.trigger_check_ns)
             .f64("fire_dispatch_ns", self.fire_dispatch_ns)
             .f64("max_idle_density_hz", self.max_idle_density_hz)
-            .raw("sleep_slack_ns", &hist(&self.sleep_slack_ns))
-            .raw("spin_slack_ns", &hist(&self.spin_slack_ns))
+            .raw("sleep_slack_ns", &hist_json(&self.sleep_slack_ns))
+            .raw("spin_slack_ns", &hist_json(&self.spin_slack_ns))
             .u64("probe_retries", self.probe_retries)
             .build()
     }

@@ -13,10 +13,19 @@
 //! flight, which delays one fire to the next check or backup sweep — what
 //! the facility tolerates anyway. A due batch of any size costs two holds
 //! and two clock reads ([`SharedCore::fire_due`]).
+//!
+//! **One thread dispatches at a time.** A check that finds events due while
+//! another check is mid-batch is over: that check's thread runs what is
+//! due and meets whatever came due since at its next check. Only the
+//! backup sweep, which is the delay bound, goes in beside a running batch.
+//! Two saturated lanes taking turns at the lock for every poll and every
+//! re-arm delivered less than one alone (6.5-9.3 M fires/s of the 10 M/s
+//! `host_saturated` offers; one lane carries that, and 17 M/s of 20 M/s)
+//! and split the work differently from one run to the next (DESIGN.md §15).
 
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use st_core::{Config, Expired, SoftTimerCore};
@@ -95,6 +104,25 @@ pub(crate) struct SharedCore<T> {
     /// Earliest armed deadline (ns; `u64::MAX` when none), stored only by
     /// [`CoreGuard`]'s `Drop`.
     earliest: AtomicU64,
+    /// Set while a trigger-state check is between its poll and the end of
+    /// its re-arm; guards no data (the mutex does).
+    dispatching: BatchFlag,
+}
+
+/// On a line of its own: beside `earliest`, which every lane reads every
+/// loop iteration, the swap that opens a batch waited for the line first
+/// (`host_paced` `lat_p50_ns` 707 -> 755 ns in ten of ten pairs).
+#[repr(align(128))]
+struct BatchFlag(AtomicBool);
+
+/// A trigger-state batch in flight; dropping it ends the batch however
+/// the pass ends (dropping a payload runs caller code, which may unwind).
+struct Dispatching<'a>(&'a AtomicBool);
+
+impl Drop for Dispatching<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
 }
 
 /// The core lock, held. Dropping it publishes the core's earliest
@@ -136,9 +164,9 @@ impl<T> SharedCore<T> {
             core: CoreCell(Mutex::new(SoftTimerCore::new(Config {
                 measure_hz: NANOS_PER_SEC,
                 interrupt_hz: interrupt_hz(backup_period_ns),
-                record_stats: true,
             }))),
             earliest: AtomicU64::new(u64::MAX),
+            dispatching: BatchFlag(AtomicBool::new(false)),
         }
     }
 
@@ -158,8 +186,9 @@ impl<T> SharedCore<T> {
 
 impl<T: Periodic> SharedCore<T> {
     /// One trigger-state check (or backup sweep when `sweep`). Not due, a
-    /// check is a load, a clock read and a compare, and takes no lock. A
-    /// due batch is polled into `buf` under the lock; every handler then
+    /// check is a load, a clock read and a compare, and takes no lock; due
+    /// while another check is mid-batch, it fires nothing. A due
+    /// batch is polled into `buf` under the lock; every handler then
     /// runs unlocked, a panic caught, counted and confined to the one
     /// fire; payloads that report no period are dropped (still unlocked —
     /// dropping one may run caller code); and one hold re-arms the rest
@@ -176,12 +205,15 @@ impl<T: Periodic> SharedCore<T> {
         buf: &mut Vec<Expired<T>>,
         mut handler: impl FnMut(&mut Expired<T>),
     ) -> usize {
-        if !sweep {
+        let _batch = if sweep {
+            None
+        } else {
             let due = self.earliest();
-            if now_ns() < due {
+            if now_ns() < due || self.dispatching.0.swap(true, Ordering::Acquire) {
                 return 0;
             }
-        }
+            Some(Dispatching(&self.dispatching.0))
+        };
         buf.clear();
         {
             let mut core = self.lock();

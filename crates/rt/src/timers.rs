@@ -12,6 +12,11 @@
 //! due is a clock read and a compare and takes no lock, however many
 //! threads poll one runtime. Ticks are wall-clock nanoseconds.
 //!
+//! It is the **unsupervised** face: the trigger states are the caller's
+//! own threads, so `crate::guard` has no lane table to watch — nothing
+//! restarts a stalled backup thread or tightens its period. A program
+//! that needs supervision runs its work on `run_guarded`'s lanes.
+//!
 //! `examples/quickstart.rs` and the `soft_timers` crate docs show it in use.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -197,7 +202,9 @@ impl RtSoftTimers {
     /// The trigger-state check: call this at the natural pause points of
     /// your program (event-loop top, after a batch of work, on I/O
     /// readiness). Runs all due handlers; returns how many ran. With
-    /// nothing due it is a clock read and a compare and takes no lock.
+    /// nothing due it is a clock read and a compare and takes no lock;
+    /// while another call (another thread's, or the one a handler is
+    /// running in) is mid-batch it runs nothing and leaves the rest to it.
     pub fn run_pending(&self) -> usize {
         self.run_due(false)
     }
@@ -323,6 +330,26 @@ mod tests {
         rt.schedule_in(10 * US, move |rt| tick(rt, c));
         wait(&rt, 200 * US, true, || count.load(SEQ) >= 3);
         assert_eq!(count.load(SEQ), 3);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_check_during_a_batch_fires_nothing_and_a_sweep_still_does() {
+        let rt = start(200 * MS);
+        let fired = Arc::new(AtomicU32::new(0));
+        let (checked, swept) = (Arc::new(AtomicU32::new(9)), Arc::new(AtomicU32::new(9)));
+        let (f, c, s) = (fired.clone(), checked.clone(), swept.clone());
+        rt.schedule_in(10 * US, move |rt| {
+            // A second event comes due while this handler's batch runs.
+            rt.schedule_in(10 * US, bump(&f));
+            std::thread::sleep(MS);
+            c.store(rt.run_pending() as u32, SEQ);
+            s.store(rt.run_due(true) as u32, SEQ);
+        });
+        std::thread::sleep(MS);
+        assert_eq!(rt.run_pending(), 1);
+        assert_eq!((checked.load(SEQ), swept.load(SEQ)), (0, 1));
+        assert_eq!(fired.load(SEQ), 1);
         rt.shutdown();
     }
 

@@ -15,8 +15,6 @@ pub const NANOS_PER_MICRO: u64 = 1_000;
 pub const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Nanoseconds per second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
-/// Microseconds per second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// A point in virtual time, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

@@ -109,11 +109,6 @@ impl Summary {
         self.population_variance().sqrt()
     }
 
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Sum of all observations.
     pub fn sum(&self) -> f64 {
         self.mean() * self.count as f64

@@ -32,9 +32,7 @@
 
 use std::collections::BTreeMap;
 
-use st_core::facility::{
-    Config as FacilityConfig, Expired, FireOrigin, SoftTimerCore, TimerHandle,
-};
+use st_core::facility::{Config as FacilityConfig, Expired, SoftTimerCore, TimerHandle};
 use st_net::link::Link;
 use st_net::packet::{ConnId, Packet, HEADER_BYTES};
 use st_net::wan::WanEmulator;
@@ -241,8 +239,6 @@ struct TransferWorld {
     /// at or before this measure the recovery stall, so they are skipped.
     last_rexmit_at: Option<SimTime>,
     max_rto_backoff: u32,
-    fired_trigger: u64,
-    fired_backup: u64,
 
     next_packet_id: u64,
     transfer_len: u64,
@@ -266,7 +262,6 @@ impl TransferWorld {
         let facility = FacilityConfig {
             measure_hz: 1_000_000,
             interrupt_hz: 1_000,
-            record_stats: false,
         };
         TransferWorld {
             sender: TcpSender::new(config.sender, ConnId(1), transfer_len),
@@ -289,8 +284,6 @@ impl TransferWorld {
             sent_times: BTreeMap::new(),
             last_rexmit_at: None,
             max_rto_backoff: 0,
-            fired_trigger: 0,
-            fired_backup: 0,
             next_packet_id: 1,
             transfer_len,
             started: false,
@@ -484,10 +477,6 @@ impl TransferWorld {
 
     /// Dispatches one expired soft-timer event.
     fn dispatch_soft(&mut self, now: SimTime, ev: Expired<SoftEv>, ctx: &mut Ctx<'_, Ev>) {
-        match ev.origin {
-            FireOrigin::TriggerState => self.fired_trigger += 1,
-            FireOrigin::BackupInterrupt => self.fired_backup += 1,
-        }
         match ev.payload {
             SoftEv::Pace => {
                 self.pace_pending = false;
@@ -715,8 +704,8 @@ impl TransferSim {
             timeouts: world.sender.timeouts(),
             max_rto_backoff: world.max_rto_backoff,
             srtt_us: world.est.srtt_us(),
-            fired_trigger: world.fired_trigger,
-            fired_backup: world.fired_backup,
+            fired_trigger: world.core.stats().fired_trigger,
+            fired_backup: world.core.stats().fired_backup,
         }
     }
 }
