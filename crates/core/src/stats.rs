@@ -94,6 +94,10 @@ impl FacilityStats {
 
     /// Records one fire `delay` ticks past its earliest legal tick;
     /// `x_ticks` is the backup period in force at this fire.
+    // The one call inside `SoftTimerCore::fire`'s per-event loop; callers
+    // in other crates instantiate that loop, so without the hint it stays
+    // an out-of-line call per fire.
+    #[inline]
     pub(crate) fn record_fire(
         &mut self,
         origin: crate::facility::FireOrigin,

@@ -384,6 +384,7 @@ pub const CATALOG: &[ExperimentInfo] = &[
             "host_<source>_density_hz",
             "host_<source>_interval_p50_ns",
             "host_<source>_interval_p99_ns",
+            "host_<source>_fire_delay_p50_ns",
             "host_fired_trigger",
             "host_fired_backup",
             "host_fire_delay_p50_ns",
@@ -398,6 +399,7 @@ pub const CATALOG: &[ExperimentInfo] = &[
             "fitted_trigger_check_ns",
             "fitted_fire_dispatch_ns",
             "fitted_clock_read_ns",
+            "fitted_wake_fire_ns",
             "fitted_max_idle_density_hz",
             "model_prof_sample_ns",
             "model_scope_sample_ns",

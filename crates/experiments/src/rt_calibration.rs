@@ -57,12 +57,21 @@ pub struct SimInputs {
     pub idle_intervals: Option<Buckets>,
     /// Backup sweep period (ns).
     pub backup_period_ns: u64,
+    /// Measured intervals between backup sweeps (the period plus what the
+    /// sleep overshot); empty = exactly the period.
+    pub backup_intervals: Buckets,
     /// Periodic timer workload (ns periods).
     pub timer_periods_ns: Vec<u64>,
     /// Fitted cost of one empty check (ns).
     pub check_ns: f64,
     /// Fitted cost of one dispatch (ns).
     pub dispatch_ns: f64,
+    /// The idle lane's pause (ns): the longest it waits between checks
+    /// with nothing due.
+    pub idle_pause_ns: u64,
+    /// Fitted delay of a fire the idle lane wakes for (ns): deadline to
+    /// `fired_at`, uncontended.
+    pub wake_ns: f64,
 }
 
 /// What the deterministic replay predicts.
@@ -118,11 +127,12 @@ fn sample_interval(buckets: &Buckets, rng: &mut SimRng, fallback: u64) -> u64 {
     if total == 0 {
         return fallback;
     }
-    let mut r = rng.range_u64(0, total - 1);
+    // `range_u64` draws from `[lo, hi)`, which is what a bucket is: a
+    // 1 ns bucket (any interval below 128 ns) is a range of one value.
+    let mut r = rng.range_u64(0, total);
     for &(lo, hi, c) in buckets {
         if r < c {
-            let width = hi.saturating_sub(lo).max(1);
-            return lo + rng.range_u64(0, width - 1);
+            return rng.range_u64(lo, hi.max(lo + 1));
         }
         r -= c;
     }
@@ -160,15 +170,29 @@ pub fn sim_side(inputs: &SimInputs, seed: u64) -> SimSide {
         let first = sample_interval(&inputs.task_intervals, &mut rng, far).saturating_add(i as u64); // desynchronize worker phases
         streams.push((first, false));
     }
+    // The host's idle lane waits on the deadline word, not for its pause
+    // to run out: a resampled interval the lane could have chosen (up to
+    // twice its pause: the pause, the check, a short interrupt) is a wait,
+    // and ends `wake_ns` after the earliest armed deadline if that comes
+    // first. A longer one was measured across a stretch off the core (three
+    // lanes spin on however many cores there are) and nothing cuts it short:
+    // what comes due meanwhile is the task returns' or the backup's.
+    let wake_ns = inputs.wake_ns.round() as u64;
+    let is_wait = |step: u64| step <= inputs.idle_pause_ns.saturating_mul(2);
+    let mut idle_waits = false;
     if let Some(idle) = &inputs.idle_intervals {
-        streams.push((sample_interval(idle, &mut rng, far), true));
+        let first = sample_interval(idle, &mut rng, far);
+        idle_waits = is_wait(first);
+        streams.push((first, true));
     }
-    // De-phase the backup sweeps by half a period: the host backup thread
-    // sleeps and always overshoots, so its sweeps are never phase-locked
-    // with timer deadlines. Exact alignment in the replay would hand
-    // phase-locked fires to the backup — an artifact, not a prediction.
+    // The backup sweeps start half a period out of phase and replay their
+    // measured intervals: the host backup thread sleeps and always
+    // overshoots, so its sweeps drift against the timer deadlines. On the
+    // bare period they stay phase-locked with every timer that divides half
+    // of it and win each tie — an artifact, not a prediction.
     let period_b = inputs.backup_period_ns.max(1);
-    let mut next_backup = period_b + period_b / 2;
+    let mut next_backup =
+        period_b / 2 + sample_interval(&inputs.backup_intervals, &mut rng, period_b);
 
     let mut fire_delay = HdrHistogram::new(BITS);
     let mut checks = 0u64;
@@ -180,7 +204,13 @@ pub fn sim_side(inputs: &SimInputs, seed: u64) -> SimSide {
         // backup first, then lowest stream index — a fixed total order.
         let mut t = next_backup;
         let mut who: isize = -1;
-        for (i, &(next, _)) in streams.iter().enumerate() {
+        let due = core.earliest_deadline().unwrap_or(u64::MAX);
+        for (i, &(sampled, is_idle)) in streams.iter().enumerate() {
+            let next = if is_idle && idle_waits {
+                sampled.min(due.saturating_add(wake_ns))
+            } else {
+                sampled
+            };
             if next < t {
                 t = next;
                 who = i as isize;
@@ -192,7 +222,8 @@ pub fn sim_side(inputs: &SimInputs, seed: u64) -> SimSide {
         buf.clear();
         if who < 0 {
             core.interrupt_sweep(t, &mut buf);
-            next_backup += period_b;
+            let step = sample_interval(&inputs.backup_intervals, &mut rng, period_b).max(1);
+            next_backup = t.saturating_add(step);
         } else {
             core.poll(t, &mut buf);
             checks += 1;
@@ -204,6 +235,9 @@ pub fn sim_side(inputs: &SimInputs, seed: u64) -> SimSide {
             };
             let step = sample_interval(dist, &mut rng, far).max(1);
             streams[who as usize].0 = t.saturating_add(step);
+            if is_idle {
+                idle_waits = is_wait(step);
+            }
         }
         for ev in buf.drain(..) {
             match ev.origin {
@@ -325,6 +359,7 @@ pub fn run(scale: Scale, seed: u64) -> RtCalibration {
         backup_period_ns: u64::try_from(config.backup_period.as_nanos())
             .unwrap_or(u64::MAX)
             .max(1),
+        backup_intervals: report.backup_sweep.intervals.buckets().collect(),
         timer_periods_ns: config
             .timer_periods
             .iter()
@@ -332,6 +367,8 @@ pub fn run(scale: Scale, seed: u64) -> RtCalibration {
             .collect(),
         check_ns: calibration.trigger_check_ns,
         dispatch_ns: calibration.fire_dispatch_ns,
+        idle_pause_ns: u64::try_from(config.idle_pause.as_nanos()).unwrap_or(u64::MAX),
+        wake_ns: calibration.wake_fire_ns,
     };
     let sim = sim_side(&inputs, seed);
     let replay = sim_side(&inputs, seed);
@@ -366,12 +403,13 @@ impl RtCalibration {
         let mut out = String::new();
         out.push_str("== rt_calibration: host measurement + sim calibration ==\n");
         out.push_str(&format!(
-            "host run: {:.1} ms, {} workers | probes: check {:.0} ns, dispatch {:.0} ns, clock read {:.0} ns\n",
+            "host run: {:.1} ms, {} workers | probes: check {:.0} ns, dispatch {:.0} ns, clock read {:.0} ns, wake-to-fire {:.0} ns\n",
             self.host.duration_ns as f64 / 1e6,
             self.host.workers,
             self.calibration.trigger_check_ns,
             self.calibration.fire_dispatch_ns,
             self.calibration.clock_read_ns,
+            self.calibration.wake_fire_ns,
         ));
         out.push_str("source       |   checks | density(Hz) | interval p50/p99 (ns)\n");
         let mut row = |s: &st_rt::SourceReport| {
@@ -403,6 +441,13 @@ impl RtCalibration {
             self.host.check_cost.quantile(0.99).unwrap_or(0),
             self.calibration.trigger_check_ns,
         ));
+        if let Some(idle) = &self.host.idle_poll {
+            out.push_str(&format!(
+                "idle lane's own fires, delay p50: {} ns (probe, uncontended wake-to-fire: {:.0} ns)\n",
+                idle.fire_delay_ns.quantile(0.5).unwrap_or(0),
+                self.calibration.wake_fire_ns,
+            ));
+        }
         out.push_str(&format!(
             "wake-up slack p50: sleep(1ms) {} ns | spin(50us) {} ns | probe batch retries: {}\n",
             self.calibration.sleep_slack_ns.quantile(0.5).unwrap_or(0),
@@ -471,6 +516,10 @@ impl RtCalibration {
                 format!("host_{n}_interval_p99_ns"),
                 s.intervals.quantile(0.99).unwrap_or(0) as f64,
             ));
+            m.push((
+                format!("host_{n}_fire_delay_p50_ns"),
+                s.fire_delay_ns.quantile(0.5).unwrap_or(0) as f64,
+            ));
         };
         source(&self.host.task_return);
         if let Some(idle) = &self.host.idle_poll {
@@ -535,6 +584,10 @@ impl RtCalibration {
             (
                 "fitted_clock_read_ns".to_string(),
                 self.calibration.clock_read_ns,
+            ),
+            (
+                "fitted_wake_fire_ns".to_string(),
+                self.calibration.wake_fire_ns,
             ),
             (
                 "fitted_max_idle_density_hz".to_string(),
@@ -602,9 +655,12 @@ mod tests {
             task_intervals: task.buckets().collect(),
             idle_intervals: Some(idle.buckets().collect()),
             backup_period_ns: 1_000_000,
+            backup_intervals: Vec::new(),
             timer_periods_ns: vec![200_000, 1_000_000],
             check_ns: 45.0,
             dispatch_ns: 400.0,
+            idle_pause_ns: 2_000,
+            wake_ns: 90.0,
         }
     }
 
@@ -637,6 +693,35 @@ mod tests {
         let p99 = s.fire_delay.quantile(0.99).unwrap_or(0);
         assert!(p99 < 2_100_000, "p99 delay {p99} ns");
         assert!(s.facility_cpu_fraction > 0.0 && s.facility_cpu_fraction < 0.5);
+    }
+
+    #[test]
+    fn the_idle_stream_checks_at_the_deadline_as_the_host_lane_does() {
+        // 2 µs idle intervals resampled blind fire ~1 µs late in the
+        // median; waiting on the deadline, one wake-up late.
+        let mut idle = HdrHistogram::new(BITS);
+        idle.record_n(2_000, 1_000);
+        let inputs = SimInputs {
+            workers: 1,
+            task_intervals: Vec::new(),
+            idle_intervals: Some(idle.buckets().collect()),
+            timer_periods_ns: vec![1_000_000],
+            ..synthetic_inputs()
+        };
+        let p50 = |s: &SimSide| s.fire_delay.quantile(0.5).unwrap() as f64;
+        let s = sim_side(&inputs, 11);
+        assert_eq!((s.fired_trigger, s.fired_backup), (49, 0));
+        assert!(p50(&s) <= inputs.wake_ns, "p50 delay {} ns", p50(&s));
+        assert_eq!(s.digest, sim_side(&inputs, 11).digest);
+        // Measured by a lane that pauses 500 ns, the same 2 µs gaps were
+        // stretches off its core: no deadline cuts those short.
+        let off_core = SimInputs {
+            idle_pause_ns: 500,
+            ..inputs
+        };
+        let s = sim_side(&off_core, 11);
+        assert_eq!((s.fired_trigger, s.fired_backup), (49, 0));
+        assert!(p50(&s) > 500.0, "p50 delay {} ns", p50(&s));
     }
 
     #[test]

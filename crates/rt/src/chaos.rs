@@ -30,7 +30,7 @@ use st_core::Clock;
 use st_fault::HostFaults;
 use st_sim::SimRng;
 
-use crate::clock::NanoClock;
+use crate::clock::{spin, NanoClock};
 
 /// Measurement ticks (µs) to host nanoseconds.
 const TICK_NS: u64 = 1_000;
@@ -104,13 +104,7 @@ impl FaultClock {
     /// Busy-waits until the (jumped) clock reads at least `deadline_ns`,
     /// returning the first reading at or past it.
     pub fn spin_until(&self, deadline_ns: u64) -> u64 {
-        loop {
-            let now = self.now_ns();
-            if now >= deadline_ns {
-                return now;
-            }
-            std::hint::spin_loop();
-        }
+        spin(|| self.now_ns(), |now| now >= deadline_ns)
     }
 
     /// How many scheduled jumps have been applied so far.

@@ -66,13 +66,19 @@ impl NanoClock {
     /// wake-up precision comparison and also serves as calibrated
     /// busy-work in the host runtime's synthetic tasks.
     pub fn spin_until(&self, deadline_ns: u64) -> u64 {
-        loop {
-            let now = self.now_ns();
-            if now >= deadline_ns {
-                return now;
-            }
-            std::hint::spin_loop();
+        spin(|| self.now_ns(), |now| now >= deadline_ns)
+    }
+}
+
+/// The crate's one spin loop: busy-waits on `now_ns` until `done` accepts
+/// a reading, and returns that reading.
+pub(crate) fn spin(now_ns: impl Fn() -> u64, done: impl Fn(u64) -> bool) -> u64 {
+    loop {
+        let now = now_ns();
+        if done(now) {
+            return now;
         }
+        std::hint::spin_loop();
     }
 }
 

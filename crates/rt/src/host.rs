@@ -35,7 +35,7 @@ use st_stats::HdrHistogram;
 use st_trace::json::ObjectBuilder;
 
 use crate::chaos::{ChaosState, FaultClock};
-use crate::clock::nanos;
+use crate::clock::{nanos, spin};
 use crate::guard::Heartbeat;
 pub use crate::shared::lock_recoveries;
 use crate::shared::{Periodic, SharedCore};
@@ -96,8 +96,10 @@ pub struct HostConfig {
     pub task_work: Duration,
     /// Whether to run the idle-loop polling thread.
     pub idle_poller: bool,
-    /// Pause between idle polls (0 = poll flat out). A small pause
-    /// decouples achievable idle density from core-lock contention.
+    /// Upper bound on the gap between idle checks (0 = check flat out), not
+    /// their cadence: the idle lane waits on the earliest armed deadline and
+    /// checks the moment it passes, or after this long with nothing due. A
+    /// not-due check takes no lock, so the pause buys nothing on the core lock.
     pub idle_pause: Duration,
     /// Backup sweep period — the "hardware interrupt clock".
     pub backup_period: Duration,
@@ -276,6 +278,10 @@ pub struct SourceReport {
     /// Distribution of intervals between consecutive checks (ns), merged
     /// across the source's threads (intervals are within-thread).
     pub intervals: HdrHistogram,
+    /// Delays of the fires this source's own checks dispatched (ns): for the
+    /// idle lane, what waiting on the deadline buys, whatever share of the
+    /// fires the other lanes took while it was off its core.
+    pub fire_delay_ns: HdrHistogram,
 }
 
 /// One fire origin's measured behaviour.
@@ -374,8 +380,8 @@ fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum
 /// Per-lane-thread control block threaded through the measuring loops:
 /// the heartbeat to beat, the generation cell that supersedes this thread
 /// when the lane is restarted, and the chaos stall windows it must
-/// execute. Built only by [`Lanes`]; an unsupervised [`run`] pays one
-/// relaxed load and one relaxed store per loop iteration for it.
+/// execute. Built only by [`Lanes`]; an unsupervised [`run`] pays two
+/// relaxed loads and one relaxed store per loop iteration for it.
 pub(crate) struct LaneCtl {
     hb: Heartbeat,
     /// When the cell moves past `my_gen` a replacement lane thread is
@@ -388,87 +394,82 @@ pub(crate) struct LaneCtl {
 }
 
 impl LaneCtl {
-    /// True when a replacement for this lane thread has been spawned and
-    /// it must exit.
-    fn superseded(&self) -> bool {
-        self.gen.load(Ordering::Relaxed) != self.my_gen
+    /// True when this lane thread must exit: the run is stopping, or a
+    /// replacement for it has been spawned.
+    fn over(&self, shared: &Shared) -> bool {
+        shared.stop.load(Ordering::Relaxed) || self.gen.load(Ordering::Relaxed) != self.my_gen
     }
 
-    /// One loop-top bookkeeping step: exits a superseded thread, beats
-    /// the heartbeat, and executes any due stall window as a
-    /// heartbeat-silent spin (in ~1 ms slices so stop/supersede still
-    /// terminate a wedged lane promptly — the *heartbeat* is what goes
-    /// silent, not the process). Returns `false` when the lane thread
-    /// should exit.
-    fn tick(&mut self, shared: &Shared) -> bool {
-        if self.superseded() {
+    /// One loop-top bookkeeping step: beats the heartbeat with `now` (the
+    /// lane's latest clock reading) and executes any due stall window as a
+    /// spin that stop/supersede still end — the *heartbeat* is what goes
+    /// silent, not the process. Returns `false` when the lane should exit.
+    fn tick(&mut self, shared: &Shared, now: u64) -> bool {
+        if self.over(shared) {
             return false;
         }
-        let now = shared.clock.now_ns();
         self.hb.beat(now);
         if let Some(&(at, dur)) = self.stalls.get(self.stall_idx) {
             if now >= at {
                 self.stall_idx += 1;
                 let until = now.saturating_add(dur);
-                while shared.clock.now_ns() < until {
-                    if shared.stop.load(Ordering::Relaxed) || self.superseded() {
-                        return false;
-                    }
-                    let slice = shared.clock.now_ns().saturating_add(1_000_000).min(until);
-                    shared.clock.spin_until(slice);
-                }
+                let clock = || shared.clock.now_ns();
+                spin(clock, |t| t >= until || self.over(shared));
+                return !self.over(shared);
             }
         }
         true
     }
 }
 
-/// One trigger-state check (or backup sweep) of a lane: the shared
-/// [`SharedCore::fire_due`] pass on the host clock, every handler run
-/// against the lane's own `acc`. Returns the number of events fired.
+/// One trigger-state check of a lane at its clock reading `seen_ns`, or one
+/// backup sweep (`None`): the shared [`SharedCore::fire_due`] pass on the
+/// host clock, handlers run against the lane's `acc`. Returns how many fired.
 pub(crate) fn trigger_check(
     shared: &Shared,
+    seen_ns: Option<u64>,
     buf: &mut Vec<Expired<PeriodicEvent>>,
-    sweep: bool,
     acc: &mut FireAccum,
 ) -> usize {
     let now_ns = || shared.clock.now_ns();
     let handler = |ev: &mut Expired<PeriodicEvent>| run_handler(shared, ev, acc);
-    shared.core.fire_due(now_ns, sweep, buf, handler)
+    shared.core.fire_due(seen_ns, now_ns, buf, handler)
 }
 
-/// The measuring loop shared by workers and the idle poller: do
-/// `work_ns` of busy work (0 for the idle loop), hit a trigger state,
-/// time the check, record the inter-check interval. `ctl` carries the
-/// lane's supervision hooks (heartbeat, supersede, chaos stalls).
+/// The measuring loop shared by workers and the idle poller: reach a
+/// trigger state, time the check, record the inter-check interval. A
+/// worker gets there by finishing `work_ns` of busy work, never cut short
+/// (that would be a hardware timer, not a soft one); the idle lane
+/// (`work_ns == 0`) by waiting on the deadline word for at most `pause_ns`.
+/// The reading that ends the wait is the check's and the one that closes a
+/// check opens the next iteration: between a deadline passing and its
+/// dispatch the clock is read once, under the core lock.
 fn measure_loop(shared: &Shared, work_ns: u64, pause_ns: u64, mut ctl: LaneCtl) -> ThreadOut {
     let mut out = ThreadOut::empty();
     let mut buf: Vec<Expired<PeriodicEvent>> = Vec::new();
     let mut last_check: Option<u64> = None;
     let started = shared.clock.now_ns();
-    while !shared.stop.load(Ordering::Relaxed) {
-        if !ctl.tick(shared) {
-            break;
-        }
-        if work_ns > 0 {
-            let t = shared.clock.now_ns();
-            shared.clock.spin_until(t + work_ns);
-        } else if pause_ns > 0 {
-            let t = shared.clock.now_ns();
-            shared.clock.spin_until(t + pause_ns);
-        }
-        let t0 = shared.clock.now_ns();
+    let mut now = started;
+    while ctl.tick(shared, now) {
+        let t0 = if work_ns > 0 {
+            shared.clock.spin_until(now.saturating_add(work_ns))
+        } else {
+            let pause_end = now.saturating_add(pause_ns);
+            let over = |t| t >= pause_end || ctl.over(shared);
+            shared.core.wait_due(|| shared.clock.now_ns(), over)
+        };
+        trigger_check(shared, Some(t0), &mut buf, &mut out.fires);
+        now = shared.clock.now_ns();
+        let elapsed = now - t0;
+        out.check_ns.record(elapsed);
+        out.facility_ns += elapsed;
+        out.checks += 1;
         if let Some(last) = last_check {
             out.intervals.record(t0 - last);
         }
         last_check = Some(t0);
-        trigger_check(shared, &mut buf, false, &mut out.fires);
-        let elapsed = shared.clock.now_ns() - t0;
-        out.check_ns.record(elapsed);
-        out.facility_ns += elapsed;
-        out.checks += 1;
     }
-    out.busy_ns = shared.clock.now_ns() - started;
+    out.busy_ns = now - started;
     out
 }
 
@@ -478,10 +479,8 @@ fn backup_loop(shared: &Shared, mut ctl: LaneCtl) -> ThreadOut {
     let mut out = ThreadOut::empty();
     let mut buf = Vec::new();
     let mut last: Option<u64> = None;
-    while !shared.stop.load(Ordering::Relaxed) {
-        if !ctl.tick(shared) {
-            break;
-        }
+    let mut now = shared.clock.now_ns();
+    while ctl.tick(shared, now) {
         let period_ns = shared.backup_period_ns.load(Ordering::Relaxed);
         std::thread::sleep(Duration::from_nanos(period_ns));
         let t0 = shared.clock.now_ns();
@@ -489,8 +488,9 @@ fn backup_loop(shared: &Shared, mut ctl: LaneCtl) -> ThreadOut {
             out.intervals.record(t0 - l);
         }
         last = Some(t0);
-        trigger_check(shared, &mut buf, true, &mut out.fires);
-        out.facility_ns += shared.clock.now_ns() - t0;
+        trigger_check(shared, None, &mut buf, &mut out.fires);
+        now = shared.clock.now_ns();
+        out.facility_ns += now - t0;
         out.checks += 1;
     }
     out
@@ -644,10 +644,13 @@ pub(crate) fn finish_report(
             checks: 0,
             density_hz: 0.0,
             intervals: HdrHistogram::new(SUB_BUCKET_BITS),
+            fire_delay_ns: HdrHistogram::new(SUB_BUCKET_BITS),
         };
         for (_, out) in of(class) {
             report.checks += out.checks;
             report.intervals.merge(&out.intervals);
+            report.fire_delay_ns.merge(&out.fires.trigger_delay);
+            report.fire_delay_ns.merge(&out.fires.backup_delay);
         }
         report.density_hz = report.checks as f64 / (duration_ns as f64 / 1e9);
         report
@@ -732,6 +735,7 @@ fn source_json(s: &SourceReport) -> String {
         .u64("checks", s.checks)
         .f64("density_hz", s.density_hz)
         .raw("interval_ns", &hist_json(&s.intervals))
+        .raw("fire_delay_ns", &hist_json(&s.fire_delay_ns))
         .build()
 }
 
@@ -858,9 +862,22 @@ mod tests {
         let mut buf = Vec::new();
         // Armed from one clock read: all N share their deadlines for ever.
         let mut due = shared.core.earliest();
+        let reads = std::cell::Cell::new(0u32);
+        let now_ns = || {
+            reads.set(reads.get() + 1);
+            shared.clock.now_ns()
+        };
         for (sweep, checks, sweeps) in [(false, 1, 0), (true, 2, 1)] {
             let before = shared.clock.spin_until(due);
-            assert_eq!(trigger_check(&shared, &mut buf, sweep, &mut acc), N);
+            let seen = (!sweep).then_some(before);
+            let handler = |ev: &mut Expired<PeriodicEvent>| {
+                assert_eq!(reads.get(), 1, "one read between `seen_ns` and the poll");
+                run_handler(&shared, ev, &mut acc);
+            };
+            reads.set(0);
+            assert_eq!(shared.core.fire_due(seen, now_ns, &mut buf, handler), N);
+            assert_eq!(reads.get(), 2, "one more for the whole re-arm pass");
+            assert_eq!(shared.core.lock().stats().handler_panics, 0);
             assert!(buf.is_empty());
             let core = shared.core.lock();
             assert_eq!(core.pending(), N);
@@ -887,6 +904,44 @@ mod tests {
         assert_eq!(core.poll(due - 1, &mut buf), 0);
         assert_eq!(core.poll(due, &mut buf), N);
         assert!(buf.iter().all(|ev| ev.due == due));
+    }
+
+    /// An idle lane alone (no worker to fire ahead of it) over four ~1 ms
+    /// timers, backup sweeps too rare to matter.
+    fn idle_only(duration_ms: u64, idle_pause: Duration) -> HostConfig {
+        HostConfig {
+            workers: 0,
+            duration: Duration::from_millis(duration_ms),
+            idle_pause,
+            backup_period: Duration::from_millis(20),
+            timer_periods: vec![Duration::from_micros(1_030); 4],
+            ..quick_config()
+        }
+    }
+
+    #[test]
+    fn the_idle_lane_fires_at_the_deadline_not_at_the_end_of_its_pause() {
+        let report = run(&idle_only(100, Duration::from_micros(200)));
+        let fired = &report.fired_trigger;
+        assert!(fired.count > 100, "{}", fired.count);
+        // A blind pause fires half a pause late in the median (~100 us).
+        let p50 = fired.delay_ns.quantile(0.5).unwrap();
+        assert!(p50 < 50_000, "trigger-origin p50 delay {p50} ns");
+        // The pause still bounds the gap between checks from above.
+        let gap = report.idle_poll.unwrap().intervals.quantile(0.5).unwrap();
+        assert!(gap < 250_000, "idle interval p50 {gap} ns");
+    }
+
+    #[test]
+    fn a_pause_longer_than_the_run_neither_holds_the_join_nor_loses_fires() {
+        for idle_pause in [Duration::from_secs(10), Duration::MAX] {
+            let started = std::time::Instant::now();
+            let report = run(&idle_only(30, idle_pause));
+            assert!(started.elapsed() < Duration::from_secs(1), "{idle_pause:?}");
+            // Only deadlines end the idle lane's waits, and each is a fire.
+            assert!(report.fired_trigger.count > 20, "{idle_pause:?}");
+            assert!(report.idle_poll.unwrap().checks < 1_000, "{idle_pause:?}");
+        }
     }
 
     #[test]

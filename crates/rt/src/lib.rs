@@ -9,16 +9,17 @@
 //!   wall-clock ns.
 //! - `shared` (crate-private) — one `SoftTimerCore` behind a mutex, its
 //!   lock-free cached earliest deadline (republished by the lock guard at
-//!   the end of every hold) and the per-batch fire pass; both runtimes
-//!   below are thin callers of it.
+//!   the end of every hold), the per-batch fire pass and the idle lane's
+//!   wait on that deadline; both runtimes below are thin callers of it.
 //! - [`timers`] — [`RtSoftTimers`], the closure-handler runtime for real
 //!   programs: poll it from your event loop's trigger points, a backup
 //!   thread bounds the delay. The unsupervised face: [`guard`] does not
 //!   watch it.
 //! - [`host`] — a worker-pool runtime whose task-return points act as
-//!   syscall-return shims, plus an idle-polling thread and a backup-sweep
-//!   thread; measures trigger-interval and fire-delay distributions per
-//!   source and the facility's in-situ CPU share. One lane table
+//!   syscall-return shims, plus an idle thread that checks the moment
+//!   the earliest deadline passes (`idle_pause` at the latest) and a
+//!   backup-sweep thread; measures trigger-interval and fire-delay
+//!   distributions per source and the in-situ CPU share. One lane table
 //!   ([`lane_classes`] decides which lanes exist; launch, restart, join)
 //!   serves both [`host::run`], which spawns the lanes and nothing else,
 //!   and [`run_guarded`], which lends the table to a supervisor thread.

@@ -11,6 +11,7 @@
 //! - marginal cost of dispatching a due event,
 //! - cost per fire of a due batch through the host runtime's own fire path
 //!   (poll, handlers, lane accounting, re-arm pass),
+//! - delay of a fire the idle lane wakes for (deadline to `fired_at`),
 //! - wake-up precision of `thread::sleep` vs spinning (the Metronome-style
 //!   question: how much slack does the OS add to a requested µs delay?).
 //!
@@ -45,6 +46,9 @@ pub struct Calibration {
     /// Marginal cost of dispatching one due event through `poll` (ns),
     /// check cost subtracted. The paper's `soft_dispatch`.
     pub fire_dispatch_ns: f64,
+    /// Delay of a fire the idle lane wakes for, uncontended (ns): see
+    /// [`wake_fire_delay`].
+    pub wake_fire_ns: f64,
     /// Achievable idle-loop trigger density (checks per second) implied by
     /// the check cost: `1e9 / trigger_check_ns`.
     pub max_idle_density_hz: f64,
@@ -199,11 +203,31 @@ pub fn batch_dispatch_cost(clock: &NanoClock) -> f64 {
     let mut acc = FireAccum::new();
     let mut buf = Vec::new();
     let per_batch = min_per_iter_guarded(clock, 32, 4, &mut 0, || {
-        shared.clock.spin_until(shared.core.earliest());
-        let fired = trigger_check(&shared, &mut buf, false, &mut acc);
+        let seen = shared.clock.spin_until(shared.core.earliest());
+        let fired = trigger_check(&shared, Some(seen), &mut buf, &mut acc);
         debug_assert_eq!(fired, TIMERS);
     });
     per_batch / TIMERS as f64
+}
+
+/// Median delay of a fire taken the idle lane's way (ns): wait on the
+/// deadline word of one 20 µs timer, check at the reading that ended the
+/// wait. One thread, nothing contending, so what is left is what stands
+/// between a deadline passing and its `fired_at` — the spin's overshoot,
+/// the flag swap, the core lock and the clock read under it.
+pub fn wake_fire_delay(samples: usize) -> f64 {
+    let config = HostConfig {
+        timer_periods: vec![Duration::from_micros(20)],
+        ..HostConfig::default()
+    };
+    let shared = Shared::build(&config, FaultClock::healthy(), None);
+    let mut acc = FireAccum::new();
+    let mut buf = Vec::new();
+    for _ in 0..samples {
+        let seen = shared.core.wait_due(|| shared.clock.now_ns(), |_| false);
+        trigger_check(&shared, Some(seen), &mut buf, &mut acc);
+    }
+    acc.trigger_delay.quantile(0.5).unwrap_or(0) as f64
 }
 
 /// Overshoot distribution of `thread::sleep(requested)` (ns).
@@ -249,6 +273,7 @@ pub fn calibrate(budget: Duration) -> Calibration {
         clock_read_ns,
         trigger_check_ns,
         fire_dispatch_ns,
+        wake_fire_ns: wake_fire_delay(500),
         max_idle_density_hz: 1e9 / trigger_check_ns.max(1.0),
         sleep_slack_ns,
         spin_slack_ns,
@@ -264,6 +289,7 @@ impl Calibration {
             .f64("clock_read_ns", self.clock_read_ns)
             .f64("trigger_check_ns", self.trigger_check_ns)
             .f64("fire_dispatch_ns", self.fire_dispatch_ns)
+            .f64("wake_fire_ns", self.wake_fire_ns)
             .f64("max_idle_density_hz", self.max_idle_density_hz)
             .raw("sleep_slack_ns", &hist_json(&self.sleep_slack_ns))
             .raw("spin_slack_ns", &hist_json(&self.spin_slack_ns))
@@ -289,6 +315,9 @@ mod tests {
         assert!((1.0..10_000_000.0).contains(&dispatch), "{dispatch}");
         let batch = batch_dispatch_cost(&clock);
         assert!((1.0..1_000_000.0).contains(&batch), "{batch}");
+        // At least the clock read under the lock; far under the 20 µs period.
+        let wake = wake_fire_delay(200);
+        assert!((1.0..10_000.0).contains(&wake), "wake-to-fire {wake} ns");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! mutex is still held. A reader sees a value stale only by the holds in
 //! flight, which delays one fire to the next check or backup sweep — what
 //! the facility tolerates anyway. A due batch of any size costs two holds
-//! and two clock reads ([`SharedCore::fire_due`]).
+//! and two clock reads ([`SharedCore::fire_due`]), and a thread with
+//! nothing else to do waits on the word itself ([`SharedCore::wait_due`]).
 //!
 //! **One thread dispatches at a time.** A check that finds events due while
 //! another check is mid-batch is over: that check's thread runs what is
@@ -30,6 +31,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use st_core::{Config, Expired, SoftTimerCore};
 use st_trace::Category;
+
+use crate::clock::spin;
 
 const NANOS_PER_SEC: u64 = 1_000_000_000;
 
@@ -182,13 +185,26 @@ impl<T> SharedCore<T> {
     pub(crate) fn earliest(&self) -> u64 {
         self.earliest.load(Ordering::Acquire)
     }
+
+    /// The idle lane's wait between checks: spins on `now_ns` until the clock
+    /// passes the earliest armed deadline or `over` accepts the reading, and
+    /// returns the reading that ended it — the caller's `seen_ns`. The word is
+    /// re-read every spin, so a deadline armed meanwhile is seen; due while
+    /// another check is mid-batch is not a wake-up, and the flag is only
+    /// loaded: the swap belongs to the check that will fire.
+    pub(crate) fn wait_due(&self, now_ns: impl Fn() -> u64, over: impl Fn(u64) -> bool) -> u64 {
+        let due = |now| now >= self.earliest() && !self.dispatching.0.load(Ordering::Relaxed);
+        spin(now_ns, |now| over(now) || due(now))
+    }
 }
 
 impl<T: Periodic> SharedCore<T> {
-    /// One trigger-state check (or backup sweep when `sweep`). Not due, a
-    /// check is a load, a clock read and a compare, and takes no lock; due
-    /// while another check is mid-batch, it fires nothing. A due
-    /// batch is polled into `buf` under the lock; every handler then
+    /// One trigger-state check at the caller's clock reading `seen_ns`, or
+    /// one backup sweep (`None`). Not due at `seen_ns`, a check is a load
+    /// and a compare — no clock read, no lock; due while another check is
+    /// mid-batch, it fires nothing. A due batch is polled into `buf` under
+    /// the lock at a fresh reading (the one clock read between a deadline
+    /// the caller saw pass and its `fired_at`); every handler then
     /// runs unlocked, a panic caught, counted and confined to the one
     /// fire; payloads that report no period are dropped (still unlocked —
     /// dropping one may run caller code); and one hold re-arms the rest
@@ -200,28 +216,25 @@ impl<T: Periodic> SharedCore<T> {
     #[inline]
     pub(crate) fn fire_due(
         &self,
+        seen_ns: Option<u64>,
         now_ns: impl Fn() -> u64,
-        sweep: bool,
         buf: &mut Vec<Expired<T>>,
         mut handler: impl FnMut(&mut Expired<T>),
     ) -> usize {
-        let _batch = if sweep {
-            None
-        } else {
-            let due = self.earliest();
-            if now_ns() < due || self.dispatching.0.swap(true, Ordering::Acquire) {
+        if let Some(seen) = seen_ns {
+            if seen < self.earliest() || self.dispatching.0.swap(true, Ordering::Acquire) {
                 return 0;
             }
-            Some(Dispatching(&self.dispatching.0))
-        };
+        }
+        let _batch = seen_ns.map(|_| Dispatching(&self.dispatching.0));
         buf.clear();
         {
             let mut core = self.lock();
             let now = now_ns();
-            if sweep {
-                core.interrupt_sweep(now, buf);
-            } else {
+            if seen_ns.is_some() {
                 core.poll(now, buf);
+            } else {
+                core.interrupt_sweep(now, buf);
             }
         }
         let fired = buf.len();
@@ -279,6 +292,38 @@ mod tests {
         assert_eq!(next_due(u64::MAX - 5, 100, 17), u64::MAX);
         assert_eq!(next_due(u64::MAX - 5, 100, u64::MAX), u64::MAX);
         assert_eq!(next_due(0, u64::MAX / 2 + 1, u64::MAX - 1), u64::MAX);
+    }
+
+    #[test]
+    fn wait_due_ends_at_the_deadline_or_the_pause_end_whichever_is_first() {
+        let shared: SharedCore<u8> = SharedCore::new(1_000_000);
+        // A scripted clock: every reading is 10 ns after the last.
+        let t = std::cell::Cell::new(0u64);
+        let clock = || t.replace(t.get() + 10) + 10;
+        let wait = |pause_end: u64| shared.wait_due(clock, |now| now >= pause_end);
+        // Nothing armed (`u64::MAX`): the full pause.
+        assert_eq!(wait(100), 100);
+        // The first reading at or past the earlier of the two ends it;
+        // already due, the next reading does.
+        shared.lock().schedule(0, 499, 0);
+        assert_eq!(shared.earliest(), 500);
+        assert_eq!((wait(1_000), wait(1_000)), (500, 510));
+        // Due while another check is mid-batch is that check's business:
+        // only the pause ends the wait, and the flag is left as it was.
+        shared.dispatching.0.store(true, Ordering::Relaxed);
+        assert_eq!(wait(600), 600);
+        assert!(shared.dispatching.0.swap(false, Ordering::Relaxed));
+        // A deadline armed during the wait is seen: the word is re-read
+        // every spin, not sampled when the wait began.
+        assert_eq!(shared.lock().poll(t.get(), &mut Vec::new()), 1);
+        shared.lock().schedule(0, 4_999, 0);
+        let arming = || {
+            if t.get() == 690 {
+                shared.lock().schedule(690, 59, 0);
+            }
+            clock()
+        };
+        assert_eq!(shared.wait_due(arming, |now| now >= 10_000), 750);
     }
 
     #[test]

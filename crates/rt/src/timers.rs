@@ -187,12 +187,13 @@ impl RtSoftTimers {
         RtPeriodic { cancelled }
     }
 
-    /// One check: every due handler runs on this thread with the core
+    /// One check at the clock reading `seen_ns`, or one backup sweep
+    /// (`None`): every due handler runs on this thread with the core
     /// unlocked, so handlers can schedule and cancel.
-    fn run_due(&self, sweep: bool) -> usize {
+    fn run_due(&self, seen_ns: Option<u64>) -> usize {
         let mut due = Vec::new();
         let now_ns = || self.clock.now_ns();
-        self.shared.fire_due(now_ns, sweep, &mut due, |ev| {
+        self.shared.fire_due(seen_ns, now_ns, &mut due, |ev| {
             if !(ev.payload.run)(self) {
                 ev.payload.period_ns = None;
             }
@@ -206,7 +207,7 @@ impl RtSoftTimers {
     /// while another call (another thread's, or the one a handler is
     /// running in) is mid-batch it runs nothing and leaves the rest to it.
     pub fn run_pending(&self) -> usize {
-        self.run_due(false)
+        self.run_due(Some(self.clock.now_ns()))
     }
 
     /// Number of pending events.
@@ -253,7 +254,7 @@ fn backup_loop(rt: &Weak<RtSoftTimers>, period: Duration) {
         if rt.shutdown.load(Ordering::Acquire) {
             return;
         }
-        rt.run_due(true);
+        rt.run_due(None);
     }
 }
 
@@ -344,7 +345,7 @@ mod tests {
             rt.schedule_in(10 * US, bump(&f));
             std::thread::sleep(MS);
             c.store(rt.run_pending() as u32, SEQ);
-            s.store(rt.run_due(true) as u32, SEQ);
+            s.store(rt.run_due(None) as u32, SEQ);
         });
         std::thread::sleep(MS);
         assert_eq!(rt.run_pending(), 1);

@@ -167,9 +167,12 @@ impl<P> TimingWheel<P> {
                 due.push(fired);
             }
         }
+        // Most drains fire one entry; the call itself is the cost then.
         // Keys are unique, so the unstable sort is the stable one without
         // its scratch allocation.
-        due[from..].sort_unstable_by_key(|&(deadline, seq, _)| (deadline, seq));
+        if due.len() - from > 1 {
+            due[from..].sort_unstable_by_key(|&(deadline, seq, _)| (deadline, seq));
+        }
     }
 }
 

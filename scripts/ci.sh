@@ -123,9 +123,18 @@ echo "== rt smoke: host runtime + sim<->reality calibration =="
 # replays the measured run sim-side twice (byte-identity gated inside
 # the experiment; sim_replay_identical:1 asserts it from out here). The
 # host half is real measurement, so nothing gates on its magnitudes —
-# only on the artifact being present, valid, and complete. RT_SMOKE=0
-# skips the step (e.g. on a machine too loaded to run timing threads);
-# RT_SMOKE_SECS bounds the host measurement + probe budget.
+# only on the artifact being present, valid, and complete, and on one
+# ratio of two of the run's own numbers: the idle lane waits on the
+# deadline word, so the fires it dispatches are late by a wake-up
+# (~100 ns), not by half its interval between checks
+# (`host_idle_poll_fire_delay_p50_ns * 2 < host_idle_poll_interval_p50_ns`;
+# a blind pause cannot meet it: its own fires are half an interval plus
+# the check late in the median). The idle lane's own fires, not all of
+# them: the run spins three lanes, and with fewer cores than that the
+# median over every lane's fires says how long the idle lane was off
+# its core, not what it does while on it. RT_SMOKE=0 skips the step
+# (e.g. on a machine too loaded to run timing threads); RT_SMOKE_SECS
+# bounds the host measurement + probe budget.
 if [ "${RT_SMOKE:-1}" = "0" ]; then
     echo "rt smoke: skipped (RT_SMOKE=0)"
 else
@@ -138,10 +147,20 @@ else
                host_backup_share host_check_cost_p50_ns \
                fitted_trigger_check_ns fitted_fire_dispatch_ns \
                model_prof_sample_ns err_fire_delay_p99 \
-               err_facility_cpu_fraction; do
+               err_facility_cpu_fraction \
+               host_idle_poll_fire_delay_p50_ns \
+               host_idle_poll_interval_p50_ns; do
         grep -q "\"$key\"" "$SMOKE_DIR/rt.json" \
             || { echo "rt smoke: missing metric $key" >&2; exit 1; }
     done
+    delay="$(grep -o '"host_idle_poll_fire_delay_p50_ns":[0-9]*' "$SMOKE_DIR/rt.json" | cut -d: -f2)"
+    interval="$(grep -o '"host_idle_poll_interval_p50_ns":[0-9]*' "$SMOKE_DIR/rt.json" | cut -d: -f2)"
+    case "$delay:$interval" in
+        :* | *:) echo "rt smoke: idle-lane fire delay '$delay' / interval '$interval': not two integers" >&2; exit 1 ;;
+    esac
+    echo "rt smoke: idle lane: fire delay p50 $delay ns, interval p50 $interval ns"
+    [ $((delay * 2)) -lt "$interval" ] \
+        || { echo "rt smoke: the idle lane's fires are not under half its interval late: it is not waking at the deadline" >&2; exit 1; }
     grep -q '"sim_replay_identical":1' "$SMOKE_DIR/rt.json" \
         || { echo "rt smoke: sim replay diverged under a fixed seed" >&2; exit 1; }
 fi
