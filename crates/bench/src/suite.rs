@@ -490,18 +490,25 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
     ));
 
     // Host fire path: ns per fire of a 1 000-event due batch through
-    // st-rt's real `trigger_check`, one thread. What `host_saturated` in
-    // BENCHMARK.json pays per fire before any lane contends: two lock
-    // holds and two clock reads a batch, the rest per-fire and unshared.
-    // Each sample is one run of the probe (itself a min over batches).
-    out.push(stat("rt.host.batch_dispatch", {
+    // st-rt's real `trigger_check`, one thread. What a worker lane or a
+    // backup sweep pays per fire before any lane contends: `fire_due`'s two
+    // lock holds and two clock reads a batch, the rest per-fire and
+    // unshared. Each sample is one run of the probe (itself a min over
+    // batches).
+    // `rt.host.busy_round`: the idle lane's cycle instead, 3 fires a round
+    // at one hold and one clock read a round — the per-round fixed cost
+    // `host_saturated`'s fire delay rides on, spread over 3 fires.
+    type HostProbe = fn(&st_rt::NanoClock) -> f64;
+    let host_probes: [(&'static str, HostProbe); 2] = [
+        ("rt.host.batch_dispatch", st_rt::probe::batch_dispatch_cost),
+        ("rt.host.busy_round", st_rt::probe::busy_round_cost),
+    ];
+    for (name, probe) in host_probes {
         let clock = st_rt::NanoClock::new();
-        let mut samples: Vec<f64> = (0..n)
-            .map(|_| st_rt::probe::batch_dispatch_cost(&clock))
-            .collect();
+        let mut samples: Vec<f64> = (0..n).map(|_| probe(&clock)).collect();
         samples.sort_by(f64::total_cmp);
-        samples
-    }));
+        out.push(stat(name, samples));
+    }
 
     // The two quick-scale paper regenerations st-ledger's
     // `experiments.*_s` probes do not cover: Figure 5's windowed medians
@@ -756,6 +763,7 @@ mod tests {
             "guard.heartbeat_beat",
             "guard.supervisor_scan",
             "rt.host.batch_dispatch",
+            "rt.host.busy_round",
             "experiments.fig5_quick",
             "experiments.scaling_quick",
             "lint.full_workspace",

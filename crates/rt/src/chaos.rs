@@ -26,11 +26,10 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use st_core::Clock;
 use st_fault::HostFaults;
 use st_sim::SimRng;
 
-use crate::clock::{spin, NanoClock};
+use crate::clock::NanoClock;
 
 /// Measurement ticks (µs) to host nanoseconds.
 const TICK_NS: u64 = 1_000;
@@ -101,25 +100,9 @@ impl FaultClock {
         raw.saturating_add(offset)
     }
 
-    /// Busy-waits until the (jumped) clock reads at least `deadline_ns`,
-    /// returning the first reading at or past it.
-    pub fn spin_until(&self, deadline_ns: u64) -> u64 {
-        spin(|| self.now_ns(), |now| now >= deadline_ns)
-    }
-
     /// How many scheduled jumps have been applied so far.
     pub fn jumps_applied(&self) -> u64 {
         self.applied.load(Ordering::Relaxed) as u64
-    }
-}
-
-impl Clock for FaultClock {
-    fn measure_time(&self) -> u64 {
-        self.now_ns()
-    }
-
-    fn measure_resolution(&self) -> u64 {
-        1_000_000_000
     }
 }
 

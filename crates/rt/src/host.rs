@@ -21,9 +21,11 @@
 //! histograms represent.
 //!
 //! The lanes share the core through `crate::shared`: a check that finds
-//! nothing due is one clock read plus one compare and takes no lock, and a
-//! due batch of any size takes the lock twice — each handler in between is
-//! a procedure call on lane-local state.
+//! nothing due is one clock read plus one compare and takes no lock, and
+//! every visit to the core is one *hold* — lock, one clock reading, re-arm
+//! the batch before, poll the next: two per batch for a worker or a sweep,
+//! one per batch for the idle lane while batches keep coming — each handler
+//! in between a procedure call on lane-local state.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -220,12 +222,11 @@ impl Shared {
 /// What one lane thread (worker, idle poller or backup sweep) brings home.
 pub(crate) struct ThreadOut {
     pub(crate) intervals: HdrHistogram,
-    /// Wall-clock cost of each individual trigger check (ns), including
-    /// any batch it fired — the in-situ counterpart of the probe's
-    /// uncontended check cost.
+    /// Wall-clock cost of each individual trigger check or sweep (ns),
+    /// including the batch it fired — the in-situ counterpart of the probe's
+    /// uncontended check cost. Its `count()` is the lane's checks, its exact
+    /// `sum()` the lane's facility time.
     pub(crate) check_ns: HdrHistogram,
-    pub(crate) checks: u64,
-    pub(crate) facility_ns: u64,
     pub(crate) busy_ns: u64,
     /// Every fire this thread dispatched.
     pub(crate) fires: FireAccum,
@@ -236,8 +237,6 @@ impl ThreadOut {
         ThreadOut {
             intervals: HdrHistogram::new(SUB_BUCKET_BITS),
             check_ns: HdrHistogram::new(SUB_BUCKET_BITS),
-            checks: 0,
-            facility_ns: 0,
             busy_ns: 0,
             fires: FireAccum::new(),
         }
@@ -271,12 +270,15 @@ fn trimmed_sum_ns(h: &HdrHistogram) -> u64 {
 pub struct SourceReport {
     /// Which source this is.
     pub source: LaneClass,
-    /// Total trigger-state checks performed.
+    /// Total trigger-state checks performed. On the idle lane one *round* —
+    /// a poll, its batch, the hold that re-arms it — is one check.
     pub checks: u64,
     /// Checks per second of wall-clock run time.
     pub density_hz: f64,
-    /// Distribution of intervals between consecutive checks (ns), merged
-    /// across the source's threads (intervals are within-thread).
+    /// Distribution of intervals between the starts of consecutive checks
+    /// (ns), merged across the source's threads (intervals are
+    /// within-thread). A busy idle lane's rounds are back to back: the hold
+    /// that closes one opens the next, and the interval is the round.
     pub intervals: HdrHistogram,
     /// Delays of the fires this source's own checks dispatched (ns): for the
     /// idle lane, what waiting on the deadline buys, whatever share of the
@@ -316,11 +318,15 @@ pub struct HostReport {
     pub backup_share: f64,
     /// Per-check wall-clock cost distribution (ns) merged across worker
     /// and idle threads; dispatches performed by a check are included in
-    /// its window. Compare its p50 against the probe's uncontended check
-    /// cost to see what sharing the facility actually costs in situ.
+    /// its window (an idle-lane round runs from the reading that polled its
+    /// batch to the reading that re-armed it). Compare its p50 against the
+    /// probe's uncontended check cost to see what sharing the facility
+    /// actually costs in situ.
     pub check_cost: HdrHistogram,
     /// Facility time (checks + dispatches) over busy thread time for the
     /// worker/idle threads — the soft-timer facility's in-situ CPU share.
+    /// No gap between a busy idle lane's rounds lies outside a check window,
+    /// so under load this approaches that lane's busy share of its time.
     /// Computed from the 99.9 %-trimmed check-cost sum so that scheduler
     /// preemptions landing inside a measured window (milliseconds against
     /// a ~100 ns check on this two-core container) do not masquerade as
@@ -342,7 +348,7 @@ pub struct HostReport {
 
 /// The handler of one fired event: accounts the fire in the lane's
 /// accumulator; touches nothing shared but the `degraded` flag.
-fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum) {
+pub(crate) fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum) {
     let delay = ev.delay();
     match ev.origin {
         FireOrigin::TriggerState => acc.trigger_delay.record(delay),
@@ -400,6 +406,12 @@ impl LaneCtl {
         shared.stop.load(Ordering::Relaxed) || self.gen.load(Ordering::Relaxed) != self.my_gen
     }
 
+    /// The length of the stall window due at `now`, if one is.
+    fn stall_due(&self, now: u64) -> Option<u64> {
+        let &(at, dur) = self.stalls.get(self.stall_idx)?;
+        (now >= at).then_some(dur)
+    }
+
     /// One loop-top bookkeeping step: beats the heartbeat with `now` (the
     /// lane's latest clock reading) and executes any due stall window as a
     /// spin that stop/supersede still end — the *heartbeat* is what goes
@@ -409,16 +421,25 @@ impl LaneCtl {
             return false;
         }
         self.hb.beat(now);
-        if let Some(&(at, dur)) = self.stalls.get(self.stall_idx) {
-            if now >= at {
-                self.stall_idx += 1;
-                let until = now.saturating_add(dur);
-                let clock = || shared.clock.now_ns();
-                spin(clock, |t| t >= until || self.over(shared));
-                return !self.over(shared);
-            }
+        if let Some(dur) = self.stall_due(now) {
+            self.stall_idx += 1;
+            let until = now.saturating_add(dur);
+            spin(
+                || shared.clock.now_ns(),
+                |t| t >= until || self.over(shared),
+            );
+            return !self.over(shared);
         }
         true
+    }
+
+    /// The same step between two rounds of the idle lane, at the reading of
+    /// the hold between them: beats the heartbeat; `false` when the lane
+    /// must exit or a stall window is due — [`Self::tick`]'s to act on, once
+    /// the batch in hand is armed and the lane carries nothing.
+    fn go_on(&self, shared: &Shared, now: u64) -> bool {
+        self.hb.beat(now);
+        !self.over(shared) && self.stall_due(now).is_none()
     }
 }
 
@@ -436,63 +457,62 @@ pub(crate) fn trigger_check(
     shared.core.fire_due(seen_ns, now_ns, buf, handler)
 }
 
-/// The measuring loop shared by workers and the idle poller: reach a
-/// trigger state, time the check, record the inter-check interval. A
-/// worker gets there by finishing `work_ns` of busy work, never cut short
-/// (that would be a hardware timer, not a soft one); the idle lane
-/// (`work_ns == 0`) by waiting on the deadline word for at most `pause_ns`.
-/// The reading that ends the wait is the check's and the one that closes a
-/// check opens the next iteration: between a deadline passing and its
-/// dispatch the clock is read once, under the core lock.
-fn measure_loop(shared: &Shared, work_ns: u64, pause_ns: u64, mut ctl: LaneCtl) -> ThreadOut {
+/// The measuring loop of every lane: reach a trigger state, run the check,
+/// record its window and the interval from the start of the check before.
+/// A worker gets there by finishing `wait_ns` of busy work, cut short by
+/// stop / supersede but never by a deadline (that would be a hardware
+/// timer, not a soft one); the backup lane by sleeping one sweep period
+/// (re-read every cycle: the supervisor's retunes take effect at once).
+/// Both run one batch and read the clock to close the check. The idle lane
+/// waits on the deadline word for at most `wait_ns` and runs rounds until
+/// a poll comes back empty, each one check; the last hold's reading closes
+/// the last round and is the first the next wait tests, so between a
+/// deadline passing and its dispatch the clock is read once, under the lock.
+fn lane_loop(shared: &Shared, class: LaneClass, wait_ns: u64, mut ctl: LaneCtl) -> ThreadOut {
     let mut out = ThreadOut::empty();
     let mut buf: Vec<Expired<PeriodicEvent>> = Vec::new();
     let mut last_check: Option<u64> = None;
-    let started = shared.clock.now_ns();
+    // One check, `from` the reading that opened it `to` the one that closed it.
+    let mut record = |from: u64, to: u64| {
+        out.check_ns.record(to - from);
+        if let Some(last) = last_check.replace(from) {
+            out.intervals.record(from - last);
+        }
+    };
+    let (core, clock) = (&shared.core, || shared.clock.now_ns());
+    let started = clock();
     let mut now = started;
     while ctl.tick(shared, now) {
-        let t0 = if work_ns > 0 {
-            shared.clock.spin_until(now.saturating_add(work_ns))
-        } else {
-            let pause_end = now.saturating_add(pause_ns);
-            let over = |t| t >= pause_end || ctl.over(shared);
-            shared.core.wait_due(|| shared.clock.now_ns(), over)
+        let mut t0;
+        let closed = match class {
+            LaneClass::Worker => {
+                let until = now.saturating_add(wait_ns);
+                t0 = spin(clock, |t| t >= until || ctl.over(shared));
+                trigger_check(shared, Some(t0), &mut buf, &mut out.fires);
+                None
+            }
+            LaneClass::IdlePoll => {
+                let pause_end = now.saturating_add(wait_ns);
+                let over = |t| t >= pause_end || ctl.over(shared);
+                t0 = core.wait_due(now, clock, over);
+                let handler = |ev: &mut _| run_handler(shared, ev, &mut out.fires);
+                core.fire_rounds(t0, clock, &mut buf, handler, |hold_ns| {
+                    record(std::mem::replace(&mut t0, hold_ns), hold_ns);
+                    ctl.go_on(shared, hold_ns)
+                })
+            }
+            LaneClass::Backup => {
+                let period_ns = shared.backup_period_ns.load(Ordering::Relaxed);
+                std::thread::sleep(Duration::from_nanos(period_ns));
+                t0 = clock();
+                trigger_check(shared, None, &mut buf, &mut out.fires);
+                None
+            }
         };
-        trigger_check(shared, Some(t0), &mut buf, &mut out.fires);
-        now = shared.clock.now_ns();
-        let elapsed = now - t0;
-        out.check_ns.record(elapsed);
-        out.facility_ns += elapsed;
-        out.checks += 1;
-        if let Some(last) = last_check {
-            out.intervals.record(t0 - last);
-        }
-        last_check = Some(t0);
+        now = closed.unwrap_or_else(clock);
+        record(t0, now);
     }
     out.busy_ns = now - started;
-    out
-}
-
-/// The backup-sweep loop: sleep one period (re-read every cycle so the
-/// supervisor's degradation retunes take effect immediately), then sweep.
-fn backup_loop(shared: &Shared, mut ctl: LaneCtl) -> ThreadOut {
-    let mut out = ThreadOut::empty();
-    let mut buf = Vec::new();
-    let mut last: Option<u64> = None;
-    let mut now = shared.clock.now_ns();
-    while ctl.tick(shared, now) {
-        let period_ns = shared.backup_period_ns.load(Ordering::Relaxed);
-        std::thread::sleep(Duration::from_nanos(period_ns));
-        let t0 = shared.clock.now_ns();
-        if let Some(l) = last {
-            out.intervals.record(t0 - l);
-        }
-        last = Some(t0);
-        trigger_check(shared, None, &mut buf, &mut out.fires);
-        now = shared.clock.now_ns();
-        out.facility_ns += now - t0;
-        out.checks += 1;
-    }
     out
 }
 
@@ -554,10 +574,14 @@ impl Lanes {
 
     /// Spawns a thread for the lane's current generation.
     fn spawn(&mut self, lane: usize) {
-        let (work_ns, pause_ns) = (self.work_ns, self.pause_ns);
         let shared = Arc::clone(&self.shared);
         let l = &mut self.lanes[lane];
         let class = l.class;
+        // What the lane waits out between checks: its task, or its pause.
+        let wait_ns = match class {
+            LaneClass::Worker => self.work_ns,
+            _ => self.pause_ns,
+        };
         let my_gen = l.gen.load(Ordering::Relaxed);
         let ctl = LaneCtl {
             hb: l.hb.clone(),
@@ -568,11 +592,7 @@ impl Lanes {
         };
         let handle = std::thread::Builder::new()
             .name(format!("st-rt-{}-g{my_gen}", class.name()))
-            .spawn(move || match class {
-                LaneClass::Worker => measure_loop(&shared, work_ns, 0, ctl),
-                LaneClass::IdlePoll => measure_loop(&shared, 0, pause_ns, ctl),
-                LaneClass::Backup => backup_loop(&shared, ctl),
-            })
+            .spawn(move || lane_loop(&shared, class, wait_ns, ctl))
             // A host that cannot spawn threads cannot run the runtime
             // at all.
             .expect("failed to spawn lane thread");
@@ -647,7 +667,7 @@ pub(crate) fn finish_report(
             fire_delay_ns: HdrHistogram::new(SUB_BUCKET_BITS),
         };
         for (_, out) in of(class) {
-            report.checks += out.checks;
+            report.checks += out.check_ns.count();
             report.intervals.merge(&out.intervals);
             report.fire_delay_ns.merge(&out.fires.trigger_delay);
             report.fire_delay_ns.merge(&out.fires.backup_delay);
@@ -655,7 +675,9 @@ pub(crate) fn finish_report(
         report.density_hz = report.checks as f64 / (duration_ns as f64 / 1e9);
         report
     };
-    let backup_facility_ns: u64 = of(LaneClass::Backup).map(|(_, out)| out.facility_ns).sum();
+    // Exact: a histogram's `sum()` is the sum of what was recorded into it.
+    let facility_ns = |out: &ThreadOut| u64::try_from(out.check_ns.sum()).unwrap_or(u64::MAX);
+    let backup_facility_ns: u64 = of(LaneClass::Backup).map(|(_, out)| facility_ns(out)).sum();
 
     let mut facility_ns_total = 0u64;
     let mut busy_ns_total = 0u64;
@@ -668,7 +690,7 @@ pub(crate) fn finish_report(
     for (class, out) in &outs {
         if *class != LaneClass::Backup {
             check_cost.merge(&out.check_ns);
-            facility_ns_total += out.facility_ns;
+            facility_ns_total += facility_ns(out);
             busy_ns_total += out.busy_ns;
         }
         fired_trigger.merge(&out.fires.trigger_delay);
@@ -803,7 +825,7 @@ impl HostReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn quick_config() -> HostConfig {
@@ -829,6 +851,8 @@ mod tests {
         );
         let idle = report.idle_poll.as_ref().expect("idle poller configured");
         assert!(idle.checks > 100, "{}", idle.checks);
+        // One writer: a lane's checks are its check windows, one interval each.
+        assert_eq!(idle.checks, idle.intervals.count() + 1);
         assert!(report.backup_sweep.checks >= 1);
         // A 200 µs periodic timer over ~60 ms must fire many times.
         assert!(report.handler_runs > 20, "{}", report.handler_runs);
@@ -848,62 +872,181 @@ mod tests {
         }
     }
 
+    /// `quick_config` lanes over 1 000 timers of 100-197 us, first due
+    /// 97 ns apart: ~7 M fires/s offered, the idle lane busy.
+    pub(crate) fn saturating(duration_ms: u64) -> HostConfig {
+        HostConfig {
+            duration: Duration::from_millis(duration_ms),
+            timer_periods: (0..1_000)
+                .map(|i| Duration::from_nanos(100_000 + 97 * i))
+                .collect(),
+            ..quick_config()
+        }
+    }
+
+    /// Conservation over a run that kept `armed` periodic events armed: every
+    /// fire is one handler run and one re-arm — none lost with a thread that
+    /// left, none run or armed twice — so `armed` are pending at the end.
+    pub(crate) fn assert_conserved(report: &HostReport, armed: u64) {
+        let fires = report.fired_trigger.count + report.fired_backup.count;
+        assert!(fires > 0);
+        assert_eq!((report.handler_runs, report.stats.fired()), (fires, fires));
+        assert_eq!(
+            (report.stats.scheduled - armed, report.stats.canceled),
+            (fires, 0)
+        );
+    }
+
+    #[test]
+    fn a_saturated_run_conserves_its_events() {
+        assert_conserved(&run(&saturating(100)), 1_000);
+    }
+
+    #[test]
+    fn a_stalled_idle_lane_carries_nothing_and_its_restart_loses_nothing() {
+        let config = saturating(0);
+        let shared = Shared::build(&config, FaultClock::healthy(), None);
+        let started = shared.clock.now_ns();
+        // Lanes: worker, idle poller, backup. Only the restart ends the stall.
+        let at = started + 20_000_000;
+        let stalls = vec![Vec::new(), vec![(at, 10_000_000_000)]];
+        let mut lanes = Lanes::launch(&shared, &config, stalls);
+        // 10 ms on: (idle lane's last beat, trigger-origin fires, backup-origin
+        // fires), again and again until `ok` with them or 2 s have passed.
+        let sample_until = |lanes: &Lanes, ok: &dyn Fn((u64, u64, u64)) -> bool| {
+            let sample = |_| {
+                std::thread::sleep(Duration::from_millis(10));
+                let mut beats = Vec::new();
+                lanes.last_beats(&mut beats);
+                let core = shared.core.lock();
+                (
+                    beats[1],
+                    core.stats().fired_trigger,
+                    core.stats().fired_backup,
+                )
+            };
+            (0..200).map(sample).find(|&s| ok(s)).expect("not in 2 s")
+        };
+        // Stalled: the same beat, past `at`, in two samples running.
+        let beat = std::cell::Cell::new(0);
+        let early = sample_until(&lanes, &|s| s.0 >= at && beat.replace(s.0) == s.0);
+        // A trigger-origin fire during the stall is the worker's: the idle
+        // lane went silent with `dispatching` clear, and the sweeps go on.
+        let late = sample_until(&lanes, &|s| s.1 > early.1 && s.2 > early.2);
+        assert_eq!(late.0, early.0, "the idle lane beat during its stall");
+        lanes.restart(1, shared.clock.now_ns());
+        sample_until(&lanes, &|s| s.0 > late.0);
+        shared.stop.store(true, Ordering::Relaxed);
+        let duration_ns = shared.clock.now_ns() - started;
+        let report = finish_report(&shared, config.workers, duration_ns, lanes.join());
+        assert_conserved(&report, 1_000);
+        assert_eq!(shared.core.lock().pending(), 1_000);
+    }
+
+    #[test]
+    fn a_task_longer_than_the_run_ends_with_it_and_its_return_still_fires() {
+        let started = std::time::Instant::now();
+        let report = run(&HostConfig {
+            duration: Duration::from_millis(20),
+            task_work: Duration::from_secs(2),
+            idle_poller: false,
+            backup_period: Duration::from_millis(100),
+            ..quick_config()
+        });
+        assert!(started.elapsed() < Duration::from_secs(1));
+        // The run's one task return, at its stop: both timers long due, and
+        // no sweep before it.
+        let checked = (report.task_return.checks, report.fired_trigger.count);
+        assert_eq!(checked, (1, 2));
+    }
+
     #[test]
     fn a_due_batch_costs_one_poll_and_one_rearm_pass() {
-        const N: usize = 64;
-        let period = Duration::from_micros(50);
-        let period_ns = period.as_nanos() as u64;
+        use std::cell::{Cell, RefCell};
+        const N: u64 = 64;
+        const P: u64 = 50_000;
+        const H: u64 = P / 2;
         let config = HostConfig {
-            timer_periods: vec![period; N],
+            timer_periods: Vec::new(),
             ..quick_config()
         };
         let shared = Shared::build(&config, FaultClock::healthy(), None);
+        let core = &shared.core;
+        // Two groups of N on period P, half a period apart: A is due at
+        // `j * P`, B at `j * P + H`, so every batch is one whole group.
+        for first in [P, P + H] {
+            for _ in 0..N {
+                core.lock()
+                    .schedule(0, first - 1, PeriodicEvent { period_ns: P });
+            }
+        }
+        // A scripted clock: a reading the cycle should not take fails the test.
+        let script = RefCell::new(std::collections::VecDeque::<u64>::new());
+        let last_two = Cell::new((0u64, 0u64));
+        let now_ns = || {
+            let now = script.borrow_mut().pop_front().expect("a reading too many");
+            last_two.set((last_two.get().1, now));
+            now
+        };
+        let play = |readings: &[u64]| script.borrow_mut().extend(readings);
         let mut acc = FireAccum::new();
         let mut buf = Vec::new();
-        // Armed from one clock read: all N share their deadlines for ever.
-        let mut due = shared.core.earliest();
-        let reads = std::cell::Cell::new(0u32);
-        let now_ns = || {
-            reads.set(reads.get() + 1);
-            shared.clock.now_ns()
+        let mut handler = |ev: &mut Expired<PeriodicEvent>| {
+            // Fired at the one reading its hold took, on its grid, and armed
+            // strictly after the reading of the hold that armed it.
+            let (before, at) = last_two.get();
+            assert!(ev.fired_at == at && before < ev.due && ev.due <= at);
+            assert_eq!(ev.due % H, 0, "off the drift-free grid");
+            run_handler(&shared, ev, &mut acc);
         };
-        for (sweep, checks, sweeps) in [(false, 1, 0), (true, 2, 1)] {
-            let before = shared.clock.spin_until(due);
-            let seen = (!sweep).then_some(before);
-            let handler = |ev: &mut Expired<PeriodicEvent>| {
-                assert_eq!(reads.get(), 1, "one read between `seen_ns` and the poll");
-                run_handler(&shared, ev, &mut acc);
-            };
-            reads.set(0);
-            assert_eq!(shared.core.fire_due(seen, now_ns, &mut buf, handler), N);
-            assert_eq!(reads.get(), 2, "one more for the whole re-arm pass");
-            assert_eq!(shared.core.lock().stats().handler_panics, 0);
-            assert!(buf.is_empty());
-            let core = shared.core.lock();
-            assert_eq!(core.pending(), N);
-            assert_eq!(core.stats().checks, checks, "one poll per batch");
-            assert_eq!(core.stats().backup_sweeps, sweeps);
-            assert_eq!(
-                core.stats().scheduled,
-                (N as u64) * (checks + 1),
-                "one re-arm per fire, none twice"
-            );
-            let next = shared.core.earliest();
-            assert_eq!(Some(next), core.earliest_deadline());
-            assert!(next > before, "re-armed into the past: {next} <= {before}");
-            assert_eq!((next - due) % period_ns, 0, "off the drift-free grid");
-            due = next;
-        }
-        assert_eq!(acc.trigger_delay.count(), N as u64);
-        assert_eq!(acc.backup_delay.count(), N as u64);
-        assert_eq!(acc.handler_runs, 2 * N as u64);
+        // (polls, sweeps, events armed / N) so far; nothing carried or lost.
+        let totals = || {
+            let guard = core.lock();
+            assert_eq!(guard.pending() as u64, 2 * N, "armed once, none carried");
+            assert_eq!(guard.stats().handler_panics, 0);
+            assert_eq!(Some(core.earliest()), guard.earliest_deadline());
+            let stats = guard.stats();
+            (stats.checks, stats.backup_sweeps, stats.scheduled / N)
+        };
+
+        // `fire_due`: two readings and one poll a batch, check or sweep.
+        play(&[P + 10, P + 20]);
+        let fired = core.fire_due(Some(P + 5), now_ns, &mut buf, &mut handler);
+        assert_eq!((fired as u64, totals()), (N, (1, 0, 3)));
+        play(&[P + H + 10, P + H + 20]);
+        let fired = core.fire_due(None, now_ns, &mut buf, &mut handler);
+        assert_eq!((fired as u64, totals()), (N, (2, 1, 4)));
+
+        // The idle loop: k = 4 consecutive due batches (A B A B) cost k + 1
+        // readings and polls, the hold between two batches arming one and
+        // polling the next; nothing fires in the hold that armed it (every
+        // batch is N, not 2 N). `go_on` is asked at the k - 1 holds between.
+        let asked = Cell::new(0u64);
+        let go_on = |stop_at: u64| {
+            let asked = &asked;
+            move |_| asked.replace(asked.get() + 1) + 1 < stop_at
+        };
+        let last = 3 * P + H + 20;
+        play(&[2 * P + 10, 2 * P + H + 10, 3 * P + 10, 3 * P + H + 10, last]);
+        let closed = core.fire_rounds(2 * P, now_ns, &mut buf, &mut handler, go_on(9));
+        assert_eq!((closed, asked.take(), totals()), (Some(last), 3, (7, 1, 8)));
+
+        // Told to leave at the first hold between batches, the loop still
+        // runs the batch in hand, arms it with one arm-only hold and lets go
+        // of `dispatching`: the next wait takes a due reading as it is.
+        let last = 4 * P + H + 20;
+        play(&[4 * P + 10, 4 * P + H + 10, last]);
+        let closed = core.fire_rounds(4 * P, now_ns, &mut buf, &mut handler, go_on(1));
+        assert_eq!(
+            (closed, asked.take(), totals()),
+            (Some(last), 1, (9, 1, 10))
+        );
+        assert!(buf.is_empty() && script.borrow().is_empty());
+        let never = || unreachable!("a due reading is not read again");
+        assert_eq!(core.wait_due(5 * P, never, |_| false), 5 * P);
+        let fired = (acc.trigger_delay.count(), acc.backup_delay.count());
+        assert_eq!((fired, acc.handler_runs), ((7 * N, N), 8 * N));
         assert_eq!(acc.degraded_delay.count(), 0);
-        // Every timer of the batch, not just the earliest, is past the
-        // re-arm's clock read and on its grid.
-        let mut core = shared.core.lock();
-        assert_eq!(core.poll(due - 1, &mut buf), 0);
-        assert_eq!(core.poll(due, &mut buf), N);
-        assert!(buf.iter().all(|ev| ev.due == due));
     }
 
     /// An idle lane alone (no worker to fire ahead of it) over four ~1 ms

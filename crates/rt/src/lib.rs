@@ -9,8 +9,9 @@
 //!   wall-clock ns.
 //! - `shared` (crate-private) — one `SoftTimerCore` behind a mutex, its
 //!   lock-free cached earliest deadline (republished by the lock guard at
-//!   the end of every hold), the per-batch fire pass and the idle lane's
-//!   wait on that deadline; both runtimes below are thin callers of it.
+//!   the end of every hold), the hold itself with its two compositions
+//!   (`fire_due`, the idle lane's `fire_rounds`) and the wait on that
+//!   deadline; both runtimes below are thin callers of it.
 //! - [`timers`] — [`RtSoftTimers`], the closure-handler runtime for real
 //!   programs: poll it from your event loop's trigger points, a backup
 //!   thread bounds the delay. The unsupervised face: [`guard`] does not

@@ -33,7 +33,10 @@ use st_trace::json::ObjectBuilder;
 
 use crate::chaos::FaultClock;
 use crate::clock::{nanos, NanoClock};
-use crate::host::{hist_json, trigger_check, FireAccum, HostConfig, Shared, SUB_BUCKET_BITS};
+use crate::host::{
+    hist_json, run_handler, trigger_check, FireAccum, HostConfig, PeriodicEvent, Shared,
+    SUB_BUCKET_BITS,
+};
 
 /// Fitted host timing constants plus wake-up precision distributions.
 #[derive(Debug, Clone)]
@@ -126,13 +129,12 @@ pub fn clock_read_cost(clock: &NanoClock) -> f64 {
     clock_read_cost_tracked(clock, &mut 0)
 }
 
-/// Cost of one empty trigger-state check (ns): a clock read plus a `poll`
-/// on a core holding one far-future event (the common case — events are
-/// pending but none is due). Batch retries accumulate into `retries`.
-pub fn trigger_check_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
+/// Cost of one `poll` that finds nothing due (ns), the clock read not
+/// included: a core holding one far-future event (the common case — events
+/// are pending but none is due), so `poll` takes its real earliest-deadline
+/// path instead of the empty-wheel shortcut.
+fn empty_poll_cost(clock: &NanoClock, retries: &mut u64) -> f64 {
     let mut core: SoftTimerCore<u32> = SoftTimerCore::new(Config::default());
-    // One pending event a long way out, so `poll` takes its real
-    // earliest-deadline path instead of the empty-wheel shortcut.
     core.schedule(0, u32::MAX as u64, 0);
     let mut buf: Vec<Expired<u32>> = Vec::new();
     let mut now = 1u64;
@@ -140,7 +142,13 @@ pub fn trigger_check_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
         now += 1;
         core.poll(std::hint::black_box(now), &mut buf);
         std::hint::black_box(&buf);
-    }) + clock_read_cost_tracked(clock, retries)
+    })
+}
+
+/// Cost of one empty trigger-state check (ns): a clock read plus an empty
+/// `poll`. Batch retries accumulate into `retries`.
+pub fn trigger_check_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
+    empty_poll_cost(clock, retries) + clock_read_cost_tracked(clock, retries)
 }
 
 /// Cost of one empty trigger-state check (ns).
@@ -152,18 +160,9 @@ pub fn trigger_check_cost(clock: &NanoClock) -> f64 {
 /// a tight loop, minus the empty-check cost measured the same way. Batch
 /// retries accumulate into `retries`.
 pub fn fire_dispatch_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
-    let check = {
-        // Empty-check baseline *without* the clock-read add-on: the
-        // subtraction below must compare like with like.
-        let mut core: SoftTimerCore<u32> = SoftTimerCore::new(Config::default());
-        core.schedule(0, u32::MAX as u64, 0);
-        let mut buf: Vec<Expired<u32>> = Vec::new();
-        let mut now = 1u64;
-        min_per_iter_guarded(clock, 32, 10_000, retries, || {
-            now += 1;
-            core.poll(std::hint::black_box(now), &mut buf);
-        })
-    };
+    // Empty-check baseline *without* the clock-read add-on: the
+    // subtraction below must compare like with like.
+    let check = empty_poll_cost(clock, retries);
     let mut core: SoftTimerCore<u32> = SoftTimerCore::new(Config::default());
     let mut buf: Vec<Expired<u32>> = Vec::new();
     let mut now = 1u64;
@@ -203,11 +202,55 @@ pub fn batch_dispatch_cost(clock: &NanoClock) -> f64 {
     let mut acc = FireAccum::new();
     let mut buf = Vec::new();
     let per_batch = min_per_iter_guarded(clock, 32, 4, &mut 0, || {
-        let seen = shared.clock.spin_until(shared.core.earliest());
+        let seen = shared.core.wait_due(0, || shared.clock.now_ns(), |_| false);
         let fired = trigger_check(&shared, Some(seen), &mut buf, &mut acc);
         debug_assert_eq!(fired, TIMERS);
     });
     per_batch / TIMERS as f64
+}
+
+/// Cost per fire of the idle lane's busy cycle (ns), one thread, nothing
+/// contending: two groups of 3 timers on a clock that costs a real reading
+/// but tells scripted time, half a period on at each, so every hold re-arms
+/// one group and finds exactly the other due. A round is what a busy idle
+/// lane pays for a small batch — one hold at one clock reading, 3 handlers
+/// against the lane accumulator — so this is the per-round fixed cost
+/// spread over 3 fires, where [`batch_dispatch_cost`] spreads `fire_due`'s
+/// two holds over 1 000. Minimum over 128 windows of 1 000 rounds.
+pub fn busy_round_cost(clock: &NanoClock) -> f64 {
+    const GROUP: u64 = 3;
+    const ROUNDS: u64 = 1_000;
+    let config = HostConfig {
+        timer_periods: Vec::new(),
+        ..HostConfig::default()
+    };
+    let shared = Shared::build(&config, FaultClock::healthy(), None);
+    let core = &shared.core;
+    for first in [1, 3] {
+        for _ in 0..GROUP {
+            let event = PeriodicEvent { period_ns: 4 };
+            core.lock().schedule(0, first - 1, event);
+        }
+    }
+    let tick = std::cell::Cell::new(0u64);
+    let now_ns = || {
+        std::hint::black_box(clock.now_ns());
+        tick.replace(tick.get() + 2) + 2
+    };
+    let (mut rounds, mut best, mut opened) = (0, u64::MAX, clock.now_ns());
+    let mut acc = FireAccum::new();
+    let handler = |ev: &mut _| run_handler(&shared, ev, &mut acc);
+    core.fire_rounds(1, now_ns, &mut Vec::new(), handler, |_| {
+        rounds += 1;
+        if rounds % ROUNDS == 0 {
+            let closed = clock.now_ns();
+            best = best.min(closed - opened);
+            opened = closed;
+        }
+        rounds < 128 * ROUNDS
+    });
+    debug_assert_eq!(rounds, 128 * ROUNDS, "a poll came back empty");
+    best as f64 / (ROUNDS * GROUP) as f64
 }
 
 /// Median delay of a fire taken the idle lane's way (ns): wait on the
@@ -223,9 +266,13 @@ pub fn wake_fire_delay(samples: usize) -> f64 {
     let shared = Shared::build(&config, FaultClock::healthy(), None);
     let mut acc = FireAccum::new();
     let mut buf = Vec::new();
+    let (core, clock) = (&shared.core, || shared.clock.now_ns());
+    let mut now = clock();
     for _ in 0..samples {
-        let seen = shared.core.wait_due(|| shared.clock.now_ns(), |_| false);
-        trigger_check(&shared, Some(seen), &mut buf, &mut acc);
+        let seen = core.wait_due(now, clock, |_| false);
+        let handler = |ev: &mut _| run_handler(&shared, ev, &mut acc);
+        let closed = core.fire_rounds(seen, clock, &mut buf, handler, |_| true);
+        now = closed.unwrap_or(seen);
     }
     acc.trigger_delay.quantile(0.5).unwrap_or(0) as f64
 }
@@ -315,6 +362,12 @@ mod tests {
         assert!((1.0..10_000_000.0).contains(&dispatch), "{dispatch}");
         let batch = batch_dispatch_cost(&clock);
         assert!((1.0..1_000_000.0).contains(&batch), "{batch}");
+        // One hold and one reading a round, spread over 3 fires.
+        let round = busy_round_cost(&clock);
+        assert!(
+            (batch / 2.0..1_000_000.0).contains(&round),
+            "{round} vs {batch}"
+        );
         // At least the clock read under the lock; far under the 20 µs period.
         let wake = wake_fire_delay(200);
         assert!((1.0..10_000.0).contains(&wake), "wake-to-fire {wake} ns");

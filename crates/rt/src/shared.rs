@@ -11,9 +11,16 @@
 //! the only way to reach the core: its `Drop` stores the word while the
 //! mutex is still held. A reader sees a value stale only by the holds in
 //! flight, which delays one fire to the next check or backup sweep — what
-//! the facility tolerates anyway. A due batch of any size costs two holds
-//! and two clock reads ([`SharedCore::fire_due`]), and a thread with
-//! nothing else to do waits on the word itself ([`SharedCore::wait_due`]).
+//! the facility tolerates anyway.
+//!
+//! Every visit to the core on the fire path is **a hold** (`hold`): lock,
+//! read the clock once, re-arm what the batch before left, optionally poll
+//! the next batch at that same reading, unlock; handlers run between holds
+//! with nothing locked. Two compositions: [`SharedCore::fire_due`] — a
+//! thread with other work: two holds and two readings per batch of any
+//! size, one batch per trigger state — and [`SharedCore::fire_rounds`] — the
+//! idle lane: one hold and one reading per batch while batches keep coming,
+//! and [`SharedCore::wait_due`] on the word itself between them.
 //!
 //! **One thread dispatches at a time.** A check that finds events due while
 //! another check is mid-batch is over: that check's thread runs what is
@@ -29,7 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use st_core::{Config, Expired, SoftTimerCore};
+use st_core::{Config, Expired, FireOrigin, SoftTimerCore};
 use st_trace::Category;
 
 use crate::clock::spin;
@@ -186,73 +193,54 @@ impl<T> SharedCore<T> {
         self.earliest.load(Ordering::Acquire)
     }
 
-    /// The idle lane's wait between checks: spins on `now_ns` until the clock
-    /// passes the earliest armed deadline or `over` accepts the reading, and
-    /// returns the reading that ended it — the caller's `seen_ns`. The word is
-    /// re-read every spin, so a deadline armed meanwhile is seen; due while
-    /// another check is mid-batch is not a wake-up, and the flag is only
+    /// The idle lane's wait between checks: from the caller's latest reading
+    /// `seen_ns`, spins on `now_ns` until the clock passes the earliest armed
+    /// deadline or `over` accepts the reading, and returns the reading that
+    /// ended it (`seen_ns` itself, the clock not read, if that one does). The
+    /// word is re-read every spin, so a deadline armed meanwhile is seen; due
+    /// while another check is mid-batch is not a wake-up, and the flag is only
     /// loaded: the swap belongs to the check that will fire.
-    pub(crate) fn wait_due(&self, now_ns: impl Fn() -> u64, over: impl Fn(u64) -> bool) -> u64 {
+    pub(crate) fn wait_due(
+        &self,
+        seen_ns: u64,
+        now_ns: impl Fn() -> u64,
+        over: impl Fn(u64) -> bool,
+    ) -> u64 {
         let due = |now| now >= self.earliest() && !self.dispatching.0.load(Ordering::Relaxed);
-        spin(now_ns, |now| over(now) || due(now))
+        let done = |now| over(now) || due(now);
+        if done(seen_ns) {
+            return seen_ns;
+        }
+        spin(now_ns, done)
+    }
+
+    /// Opens a trigger-state batch at the caller's reading `seen_ns`: `None`
+    /// when nothing is due (a load and a compare) or another check is
+    /// mid-batch (one swap more).
+    fn open_batch(&self, seen_ns: u64) -> Option<Dispatching<'_>> {
+        let open = seen_ns >= self.earliest() && !self.dispatching.0.swap(true, Ordering::Acquire);
+        open.then(|| Dispatching(&self.dispatching.0))
     }
 }
 
 impl<T: Periodic> SharedCore<T> {
-    /// One trigger-state check at the caller's clock reading `seen_ns`, or
-    /// one backup sweep (`None`). Not due at `seen_ns`, a check is a load
-    /// and a compare — no clock read, no lock; due while another check is
-    /// mid-batch, it fires nothing. A due batch is polled into `buf` under
-    /// the lock at a fresh reading (the one clock read between a deadline
-    /// the caller saw pass and its `fired_at`); every handler then
-    /// runs unlocked, a panic caught, counted and confined to the one
-    /// fire; payloads that report no period are dropped (still unlocked —
-    /// dropping one may run caller code); and one hold re-arms the rest
-    /// drift-free from a single clock read `S` taken after the last
-    /// handler, so every new deadline is past the moment its handler
-    /// finished. `buf` comes back empty; returns how many events fired.
-    // Inlined into its two callers: out of line the pass cost a saturated
-    // lane ~1 ns a fire (`rt.host.batch_dispatch` 33.5 -> 34.5 ns).
-    #[inline]
-    pub(crate) fn fire_due(
+    /// **A hold**: the core lock taken once and the clock read once under it
+    /// (`S`, returned). Counts the `panics` of the batch before, re-arms what
+    /// `buf` still carries of it drift-free from `S` — read after that
+    /// batch's last handler, so every new deadline is past the moment its
+    /// handler finished — then polls (`TriggerState`) or sweeps
+    /// (`BackupInterrupt`) at the same `S` into the emptied `buf`, or neither
+    /// (`None`). A deadline armed here is strictly after `S`, so the poll
+    /// beside it cannot fire it, and `S` is each fire's `fired_at`.
+    fn hold(
         &self,
-        seen_ns: Option<u64>,
-        now_ns: impl Fn() -> u64,
+        now_ns: &impl Fn() -> u64,
         buf: &mut Vec<Expired<T>>,
-        mut handler: impl FnMut(&mut Expired<T>),
-    ) -> usize {
-        if let Some(seen) = seen_ns {
-            if seen < self.earliest() || self.dispatching.0.swap(true, Ordering::Acquire) {
-                return 0;
-            }
-        }
-        let _batch = seen_ns.map(|_| Dispatching(&self.dispatching.0));
-        buf.clear();
-        {
-            let mut core = self.lock();
-            let now = now_ns();
-            if seen_ns.is_some() {
-                core.poll(now, buf);
-            } else {
-                core.interrupt_sweep(now, buf);
-            }
-        }
-        let fired = buf.len();
-        let mut panics = 0u64;
-        for ev in buf.iter_mut() {
-            if catch_unwind(AssertUnwindSafe(|| handler(ev))).is_err() {
-                panics += 1;
-                // Sealed: visible only to a trace session on this thread.
-                st_trace::count("rt.handler_panics", 1);
-                st_trace::emit(Category::Rt, "rt.handler_panic", ev.fired_at, ev.due, 0);
-            }
-        }
-        buf.retain(|ev| ev.payload.period_ns().is_some());
-        if buf.is_empty() && panics == 0 {
-            return fired;
-        }
-        let now = now_ns();
+        panics: u64,
+        then: Option<FireOrigin>,
+    ) -> u64 {
         let mut core = self.lock();
+        let now = now_ns();
         for _ in 0..panics {
             core.note_handler_panic();
         }
@@ -264,7 +252,97 @@ impl<T: Periodic> SharedCore<T> {
             // `schedule(now, delta)` arms deadline `now + delta + 1`.
             core.schedule(now, next.saturating_sub(now).saturating_sub(1), ev.payload);
         }
+        match then {
+            Some(FireOrigin::TriggerState) => core.poll(now, buf),
+            Some(FireOrigin::BackupInterrupt) => core.interrupt_sweep(now, buf),
+            None => 0,
+        };
+        now
+    }
+
+    /// Runs the batch in `buf` with nothing locked: each handler behind its
+    /// own `catch_unwind`, a panic confined to the one fire and counted
+    /// (returned) for the next hold; payloads that report no period are then
+    /// dropped — still unlocked, dropping one may run caller code.
+    fn run_batch(buf: &mut Vec<Expired<T>>, handler: &mut impl FnMut(&mut Expired<T>)) -> u64 {
+        let mut panics = 0u64;
+        for ev in buf.iter_mut() {
+            if catch_unwind(AssertUnwindSafe(|| handler(ev))).is_err() {
+                panics += 1;
+                // Sealed: visible only to a trace session on this thread.
+                st_trace::count("rt.handler_panics", 1);
+                st_trace::emit(Category::Rt, "rt.handler_panic", ev.fired_at, ev.due, 0);
+            }
+        }
+        buf.retain(|ev| ev.payload.period_ns().is_some());
+        panics
+    }
+
+    /// One trigger-state check at the caller's clock reading `seen_ns`, or
+    /// one backup sweep (`None`): `hold(poll) · handlers · hold(arm only)`.
+    /// Not due at `seen_ns`, a check is a load and a compare — no clock
+    /// read, no lock; due while another check is mid-batch, it fires
+    /// nothing. One batch per call, whatever came due meanwhile: a worker's
+    /// next task is never delayed by a second one. `buf` comes back empty;
+    /// returns how many events fired.
+    // Inlined into its two callers: out of line the pass cost a saturated
+    // lane ~1 ns a fire (`rt.host.batch_dispatch` 33.5 -> 34.5 ns).
+    #[inline]
+    pub(crate) fn fire_due(
+        &self,
+        seen_ns: Option<u64>,
+        now_ns: impl Fn() -> u64,
+        buf: &mut Vec<Expired<T>>,
+        mut handler: impl FnMut(&mut Expired<T>),
+    ) -> usize {
+        let (_batch, origin) = match seen_ns {
+            Some(seen) => match self.open_batch(seen) {
+                Some(batch) => (Some(batch), FireOrigin::TriggerState),
+                None => return 0,
+            },
+            None => (None, FireOrigin::BackupInterrupt),
+        };
+        buf.clear();
+        self.hold(&now_ns, buf, 0, Some(origin));
+        let fired = buf.len();
+        let panics = Self::run_batch(buf, &mut handler);
+        if !buf.is_empty() || panics > 0 {
+            self.hold(&now_ns, buf, panics, None);
+        }
         fired
+    }
+
+    /// The idle lane's check at its reading `seen_ns`, for a thread with
+    /// nothing else to do: `hold(poll) · (handlers · hold(arm + poll))*`
+    /// under one `dispatching` window, until a poll comes back empty. Each
+    /// hold in the middle re-arms one batch and polls the next at one
+    /// reading; `go_on` is shown that reading and, by returning `false`,
+    /// makes the next hold arm-only: the batch in hand is run and armed,
+    /// nothing stays carried and the flag is released before the lane
+    /// leaves. Returns the last hold's reading — it closes the check and is
+    /// the first the next wait tests — or `None` exactly where
+    /// [`Self::fire_due`] returns 0 unlocked.
+    #[inline]
+    pub(crate) fn fire_rounds(
+        &self,
+        seen_ns: u64,
+        now_ns: impl Fn() -> u64,
+        buf: &mut Vec<Expired<T>>,
+        mut handler: impl FnMut(&mut Expired<T>),
+        mut go_on: impl FnMut(u64) -> bool,
+    ) -> Option<u64> {
+        let _batch = self.open_batch(seen_ns)?;
+        buf.clear();
+        let mut then = Some(FireOrigin::TriggerState);
+        let mut now = self.hold(&now_ns, buf, 0, then);
+        while !buf.is_empty() {
+            let panics = Self::run_batch(buf, &mut handler);
+            now = self.hold(&now_ns, buf, panics, then);
+            if !buf.is_empty() && !go_on(now) {
+                then = None;
+            }
+        }
+        Some(now)
     }
 }
 
@@ -300,14 +378,15 @@ mod tests {
         // A scripted clock: every reading is 10 ns after the last.
         let t = std::cell::Cell::new(0u64);
         let clock = || t.replace(t.get() + 10) + 10;
-        let wait = |pause_end: u64| shared.wait_due(clock, |now| now >= pause_end);
+        // Every wait starts from the last reading taken, as the idle lane's do.
+        let wait = |pause_end: u64| shared.wait_due(t.get(), clock, |now| now >= pause_end);
         // Nothing armed (`u64::MAX`): the full pause.
         assert_eq!(wait(100), 100);
-        // The first reading at or past the earlier of the two ends it;
-        // already due, the next reading does.
+        // The first reading at or past the earlier of the two ends it; a
+        // reading handed in already due is returned, the clock not read.
         shared.lock().schedule(0, 499, 0);
         assert_eq!(shared.earliest(), 500);
-        assert_eq!((wait(1_000), wait(1_000)), (500, 510));
+        assert_eq!((wait(1_000), wait(1_000), t.get()), (500, 500, 500));
         // Due while another check is mid-batch is that check's business:
         // only the pause ends the wait, and the flag is left as it was.
         shared.dispatching.0.store(true, Ordering::Relaxed);
@@ -323,7 +402,70 @@ mod tests {
             }
             clock()
         };
-        assert_eq!(shared.wait_due(arming, |now| now >= 10_000), 750);
+        assert_eq!(shared.wait_due(t.get(), arming, |now| now >= 10_000), 750);
+    }
+
+    /// A payload that notes, when dropped, whether the core lock was free.
+    struct Shot(
+        Option<u64>,
+        std::rc::Weak<SharedCore<Shot>>,
+        std::rc::Rc<std::cell::Cell<u32>>,
+    );
+
+    impl Periodic for Shot {
+        fn period_ns(&self) -> Option<u64> {
+            self.0
+        }
+    }
+
+    impl Drop for Shot {
+        fn drop(&mut self) {
+            if self
+                .1
+                .upgrade()
+                .is_some_and(|s| s.core.0.try_lock().is_ok())
+            {
+                self.2.set(self.2.get() + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_carried_panic_is_counted_by_the_next_hold_and_a_one_shot_dropped_unlocked() {
+        let shared = std::rc::Rc::new(SharedCore::<Shot>::new(1_000_000));
+        let freed = std::rc::Rc::new(std::cell::Cell::new(0u32));
+        // Two periodic events due at 100 (the first one's handler panics),
+        // a one-shot and a periodic one due at 150.
+        for (first, period) in [
+            (100, Some(100)),
+            (100, Some(100)),
+            (150, None),
+            (150, Some(100)),
+        ] {
+            let shot = Shot(period, std::rc::Rc::downgrade(&shared), freed.clone());
+            shared.lock().schedule(0, first - 1, shot);
+        }
+        let script = std::cell::RefCell::new(vec![160, 155, 105]);
+        let clock = || script.borrow_mut().pop().expect("a clock reading too many");
+        let runs = std::cell::Cell::new(0u32);
+        let handler = |_: &mut Expired<Shot>| {
+            if runs.replace(runs.get() + 1) == 0 {
+                panic!("hostile, once");
+            }
+        };
+        let closed = shared.fire_rounds(100, clock, &mut Vec::new(), handler, |hold_ns| {
+            // The hold at 155 counted the first batch's panic, re-armed both
+            // of its events and polled the second batch.
+            let core = shared.lock();
+            assert_eq!(
+                (hold_ns, core.stats().handler_panics, core.pending()),
+                (155, 1, 2)
+            );
+            true
+        });
+        assert_eq!((closed, runs.get(), freed.get()), (Some(160), 4, 1));
+        let core = shared.lock();
+        assert_eq!((core.stats().handler_panics, core.pending()), (1, 3));
     }
 
     #[test]
