@@ -3,19 +3,33 @@
 //! A classic calendar: events carry a firing time and are dispatched in
 //! time order, FIFO among equal times. The [`World`] owns all simulation
 //! state; during dispatch it receives a [`Ctx`] through which it can read
-//! the clock and schedule or cancel further events. Cancelation is lazy
-//! (canceled entries are skipped at pop time), which keeps the hot path a
-//! plain binary-heap push/pop.
+//! the clock and schedule or cancel further events.
+//!
+//! The calendar is st-wheel's [`TimingWheel`] at 1 ns ticks
+//! ([`SimTime::as_nanos`]), the queue the soft-timer facility itself runs
+//! on: schedule and cancel are `O(1)` (a cancel unlinks the event on the
+//! spot, nothing stale stays behind) and the earliest time is two
+//! find-first-set steps. The engine takes one whole instant out of the
+//! wheel at a time — *the instant in hand* — and dispatches it from the
+//! front, in schedule order. Anything a handler schedules meanwhile, at
+//! the same instant or later, has a later sequence number, so it goes into
+//! the wheel and comes out after the instant in hand: the order is exactly
+//! `(time, schedule order)`.
 
-use std::cmp::Ordering;
-use std::collections::BTreeSet;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
+
+use st_wheel::{TimerHandle, TimerQueue, TimingWheel};
 
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a scheduled event, usable for cancelation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventId {
+    /// The event's wheel entry; stale once the event leaves the wheel.
+    handle: TimerHandle,
+    /// Schedule order: finds the event once it is in hand.
+    seq: u64,
+}
 
 /// Simulation state that receives events.
 pub trait World: Sized {
@@ -26,35 +40,6 @@ pub trait World: Sized {
     fn handle(&mut self, ev: Self::Event, ctx: &mut Ctx<'_, Self::Event>);
 }
 
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    id: EventId,
-    ev: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse so the BinaryHeap (a max-heap) pops the earliest entry;
-        // seq breaks ties FIFO.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Scheduling interface handed to [`World::handle`] during dispatch.
 pub struct Ctx<'a, E> {
     now: SimTime,
@@ -62,58 +47,62 @@ pub struct Ctx<'a, E> {
 }
 
 struct Queue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Ids of scheduled-but-not-yet-fired-or-canceled events. Heap entries
-    /// whose id is absent are skipped at pop time (lazy cancelation).
-    /// Ordered set, although only membership is used: the engine is the
-    /// root of every seeded simulation, so it carries no unordered
-    /// container at all (st-lint: no-unordered-iteration).
-    live: BTreeSet<EventId>,
+    /// Pending events as `(seq, event)`, keyed by nanosecond time.
+    wheel: TimingWheel<(u64, E)>,
+    /// The instant in hand: the events of one time already out of the
+    /// wheel, as `advance` hands them out, in rising `seq`.
+    hand: VecDeque<(u64, (u64, E))>,
+    /// `advance`'s output buffer, kept for its capacity.
+    taken: Vec<(u64, (u64, E))>,
     next_seq: u64,
-    next_id: u64,
 }
 
 impl<E> Queue<E> {
     fn new() -> Self {
         Queue {
-            heap: BinaryHeap::new(),
-            live: BTreeSet::new(),
+            wheel: TimingWheel::new(),
+            hand: VecDeque::new(),
+            taken: Vec::new(),
             next_seq: 0,
-            next_id: 0,
         }
     }
 
     fn schedule_at(&mut self, time: SimTime, ev: E) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, id, ev });
-        self.live.insert(id);
-        id
+        let handle = self.wheel.schedule(time.as_nanos(), (seq, ev));
+        EventId { handle, seq }
     }
 
     fn cancel(&mut self, id: EventId) -> bool {
-        self.live.remove(&id)
+        if self.wheel.cancel(id.handle).is_some() {
+            return true;
+        }
+        let hand = &mut self.hand;
+        let found = hand.binary_search_by_key(&id.seq, |&(_, (seq, _))| seq);
+        found.is_ok_and(|i| hand.remove(i).is_some())
     }
 
-    fn pop_live(&mut self) -> Option<Entry<E>> {
-        while let Some(e) = self.heap.pop() {
-            if self.live.remove(&e.id) {
-                return Some(e);
-            }
+    /// The next event, taking the next instant out of the wheel when the
+    /// one in hand is spent.
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        if self.hand.is_empty() {
+            let next = self.wheel.next_deadline()?;
+            self.wheel.advance(next, &mut self.taken);
+            self.hand.extend(self.taken.drain(..));
         }
-        None
+        let (time, (_, ev)) = self.hand.pop_front()?;
+        Some((SimTime::from_nanos(time), ev))
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(e) = self.heap.peek() {
-            if self.live.contains(&e.id) {
-                return Some(e.time);
-            }
-            self.heap.pop();
-        }
-        None
+    /// Time of the next event. Read-only: taking an instant here would
+    /// move the wheel past times an outside `schedule_at` may still use.
+    fn peek_time(&self) -> Option<SimTime> {
+        let time = match self.hand.front() {
+            Some(&(time, _)) => Some(time),
+            None => self.wheel.next_deadline(),
+        };
+        time.map(SimTime::from_nanos)
     }
 }
 
@@ -228,23 +217,23 @@ impl<W: World> Engine<W> {
     }
 
     /// Time of the next pending event, if any.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
     /// Dispatches the next event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(entry) = self.queue.pop_live() else {
+        let Some((time, ev)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(entry.time >= self.now, "time went backwards");
-        self.now = entry.time;
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
         self.dispatched += 1;
         let mut ctx = Ctx {
             now: self.now,
             queue: &mut self.queue,
         };
-        self.world.handle(entry.ev, &mut ctx);
+        self.world.handle(ev, &mut ctx);
         true
     }
 
@@ -271,8 +260,9 @@ impl<W: World> Engine<W> {
         }
     }
 
-    /// Runs until `pred(world)` becomes true (checked after each event) or
-    /// the queue drains. Returns whether the predicate was satisfied.
+    /// Runs while `keep_going(world)` holds, asked before each event, or
+    /// until the queue drains. Returns `true` when `keep_going` returned
+    /// `false` (the run stopped on it), `false` when the queue drained.
     pub fn run_while(&mut self, mut keep_going: impl FnMut(&W) -> bool) -> bool {
         loop {
             if !keep_going(&self.world) {
@@ -288,75 +278,21 @@ impl<W: World> Engine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
 
     struct Recorder {
         log: Vec<(u64, u32)>,
-        to_cancel: Option<EventId>,
     }
 
     impl World for Recorder {
         type Event = u32;
         fn handle(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
             self.log.push((ctx.now().as_micros(), ev));
-            if ev == 100 {
-                // Schedule two children, then cancel one of them.
-                let keep = ctx.schedule_in(SimDuration::from_micros(5), 101);
-                let kill = ctx.schedule_in(SimDuration::from_micros(5), 102);
-                let _ = keep;
-                ctx.cancel(kill);
-            }
-            if let Some(id) = self.to_cancel.take() {
-                ctx.cancel(id);
-            }
         }
     }
 
     fn recorder() -> Recorder {
-        Recorder {
-            log: Vec::new(),
-            to_cancel: None,
-        }
-    }
-
-    #[test]
-    fn events_fire_in_time_order() {
-        let mut e = Engine::new(recorder());
-        e.schedule_at(SimTime::from_micros(30), 3);
-        e.schedule_at(SimTime::from_micros(10), 1);
-        e.schedule_at(SimTime::from_micros(20), 2);
-        e.run();
-        assert_eq!(e.world().log, vec![(10, 1), (20, 2), (30, 3)]);
-    }
-
-    #[test]
-    fn equal_times_are_fifo() {
-        let mut e = Engine::new(recorder());
-        for i in 0..10 {
-            e.schedule_at(SimTime::from_micros(5), i);
-        }
-        e.run();
-        let order: Vec<u32> = e.world().log.iter().map(|&(_, v)| v).collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancelation_from_outside_and_inside() {
-        let mut e = Engine::new(recorder());
-        let a = e.schedule_at(SimTime::from_micros(1), 7);
-        assert!(e.cancel(a));
-        assert!(!e.cancel(a), "double cancel reports false");
-        e.schedule_at(SimTime::from_micros(2), 100);
-        e.run();
-        let evs: Vec<u32> = e.world().log.iter().map(|&(_, v)| v).collect();
-        assert_eq!(evs, vec![100, 101], "102 was canceled in-handler");
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false() {
-        let mut e = Engine::new(recorder());
-        let a = e.schedule_at(SimTime::from_micros(1), 1);
-        e.run();
-        assert!(!e.cancel(a));
+        Recorder { log: Vec::new() }
     }
 
     #[test]
@@ -416,12 +352,280 @@ mod tests {
         assert_eq!(e.dispatched(), 2);
     }
 
+    /// What both sides of the differential test log, in order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Note {
+        Fired(SimTime, usize),
+        Canceled(usize, bool),
+    }
+
+    /// The scheduling surface seen by `behave` and the op stream, on
+    /// either side. An event is named by its label: the number of events
+    /// scheduled before it.
+    trait Sched {
+        fn rng(&mut self) -> &mut SimRng;
+        fn clock(&self) -> SimTime;
+        fn labels(&self) -> usize;
+        fn put(&mut self, time: SimTime);
+        fn cancel_label(&mut self, label: usize);
+    }
+
+    /// A handler: up to three acts drawn from the side's own RNG, among
+    /// them ties at `now`, near-future events and cancels of its own
+    /// label, of a recent one (often at this instant, already out of the
+    /// wheel), of anyone (often fired) and of one label twice.
+    fn behave(label: usize, s: &mut impl Sched) {
+        for _ in 0..s.rng().range_u64(0, 4) {
+            let (now, labels) = (s.clock(), s.labels());
+            match s.rng().range_u64(0, 7) {
+                0 => s.put(now),
+                1 | 2 => {
+                    let ahead = SimDuration::from_nanos(s.rng().range_u64(1, 4));
+                    s.put(now + ahead);
+                }
+                3 => s.cancel_label(label),
+                4 => {
+                    let back = s.rng().index(labels.min(8));
+                    s.cancel_label(labels - 1 - back);
+                }
+                5 => {
+                    let victim = s.rng().index(labels);
+                    s.cancel_label(victim);
+                }
+                _ => {
+                    let victim = s.rng().index(labels);
+                    s.cancel_label(victim);
+                    s.cancel_label(victim);
+                }
+            }
+        }
+    }
+
+    /// The reference: pending `(time, label)` in a `Vec`, the next event
+    /// found by a scan for the minimum. Labels rise in schedule order, so
+    /// the minimum is the minimum `(time, seq)`.
+    struct Reference {
+        rng: SimRng,
+        now: SimTime,
+        pending: Vec<(SimTime, usize)>,
+        labels: usize,
+        log: Vec<Note>,
+    }
+
+    impl Sched for Reference {
+        fn rng(&mut self) -> &mut SimRng {
+            &mut self.rng
+        }
+        fn clock(&self) -> SimTime {
+            self.now
+        }
+        fn labels(&self) -> usize {
+            self.labels
+        }
+        fn put(&mut self, time: SimTime) {
+            self.pending.push((time.max(self.now), self.labels));
+            self.labels += 1;
+        }
+        fn cancel_label(&mut self, label: usize) {
+            let found = self.pending.iter().position(|&(_, l)| l == label);
+            if let Some(i) = found {
+                self.pending.swap_remove(i);
+            }
+            self.log.push(Note::Canceled(label, found.is_some()));
+        }
+    }
+
+    impl Reference {
+        fn next_event_time(&self) -> Option<SimTime> {
+            self.pending.iter().map(|&(t, _)| t).min()
+        }
+
+        fn step(&mut self) -> bool {
+            let pending = &self.pending;
+            let Some(i) = (0..pending.len()).min_by_key(|&i| pending[i]) else {
+                return false;
+            };
+            let (time, label) = self.pending.swap_remove(i);
+            self.now = time;
+            self.log.push(Note::Fired(time, label));
+            behave(label, self);
+            true
+        }
+
+        fn run_until(&mut self, deadline: SimTime) {
+            while self.next_event_time().is_some_and(|t| t <= deadline) {
+                self.step();
+            }
+            self.now = self.now.max(deadline);
+        }
+
+        fn run_while(&mut self, mut keep_going: impl FnMut(&[Note]) -> bool) -> bool {
+            loop {
+                if !keep_going(&self.log) {
+                    return true;
+                }
+                if !self.step() {
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// The engine's side: ids by label, the same log, and a count of
+    /// handler cancels that found their event in hand.
+    struct Model {
+        rng: SimRng,
+        ids: Vec<EventId>,
+        log: Vec<Note>,
+        in_hand_cancels: usize,
+    }
+
+    impl World for Model {
+        type Event = usize;
+        fn handle(&mut self, label: usize, ctx: &mut Ctx<'_, usize>) {
+            self.log.push(Note::Fired(ctx.now(), label));
+            behave(label, &mut InHandler { ctx, model: self });
+        }
+    }
+
+    struct InHandler<'a, 'b> {
+        ctx: &'a mut Ctx<'b, usize>,
+        model: &'a mut Model,
+    }
+
+    impl Sched for InHandler<'_, '_> {
+        fn rng(&mut self) -> &mut SimRng {
+            &mut self.model.rng
+        }
+        fn clock(&self) -> SimTime {
+            self.ctx.now()
+        }
+        fn labels(&self) -> usize {
+            self.model.ids.len()
+        }
+        fn put(&mut self, time: SimTime) {
+            let label = self.model.ids.len();
+            self.model.ids.push(self.ctx.schedule_at(time, label));
+        }
+        fn cancel_label(&mut self, label: usize) {
+            let id = self.model.ids[label];
+            let hand = &self.ctx.queue.hand;
+            if hand.iter().any(|&(_, (seq, _))| seq == id.seq) {
+                self.model.in_hand_cancels += 1;
+            }
+            let canceled = self.ctx.cancel(id);
+            self.model.log.push(Note::Canceled(label, canceled));
+        }
+    }
+
+    impl Sched for Engine<Model> {
+        fn rng(&mut self) -> &mut SimRng {
+            &mut self.world.rng
+        }
+        fn clock(&self) -> SimTime {
+            self.now
+        }
+        fn labels(&self) -> usize {
+            self.world.ids.len()
+        }
+        fn put(&mut self, time: SimTime) {
+            let label = self.world.ids.len();
+            let id = self.schedule_at(time, label);
+            self.world.ids.push(id);
+        }
+        fn cancel_label(&mut self, label: usize) {
+            let canceled = self.cancel(self.world.ids[label]);
+            self.world.log.push(Note::Canceled(label, canceled));
+        }
+    }
+
+    /// Runs one seeded op stream on both sides in lockstep, comparing
+    /// the logs, the clocks and `next_event_time` after every op. Returns
+    /// how often it clamped a past time, stopped `run_while` mid-instant
+    /// and canceled an event in hand from a handler.
+    fn differential(seed: u64, ops: usize) -> [usize; 3] {
+        let mut rng = SimRng::seed(seed);
+        let mut engine = Engine::new(Model {
+            rng: SimRng::seed(seed ^ 1),
+            ids: Vec::new(),
+            log: Vec::new(),
+            in_hand_cancels: 0,
+        });
+        let mut reference = Reference {
+            rng: SimRng::seed(seed ^ 1),
+            now: SimTime::ZERO,
+            pending: Vec::new(),
+            labels: 0,
+            log: Vec::new(),
+        };
+        let (mut clamps, mut mid_instant) = (0, 0);
+        for op in 0..ops {
+            let now = engine.now();
+            let ns = |n| SimDuration::from_nanos(n);
+            // An outside schedule, or `None` after the other ops.
+            let put = match rng.range_u64(0, 10) {
+                0..=2 => Some(now + ns(rng.range_u64(0, 6))),
+                3 => Some(now + ns(rng.range_u64(0, 1 << 20))),
+                4 => {
+                    let past = now.as_nanos().saturating_sub(rng.range_u64(1, 4));
+                    clamps += usize::from(past < now.as_nanos());
+                    Some(SimTime::from_nanos(past))
+                }
+                5 if engine.labels() > 0 => {
+                    let label = rng.index(engine.labels());
+                    engine.cancel_label(label);
+                    reference.cancel_label(label);
+                    None
+                }
+                6 => {
+                    let deadline = now + ns(rng.range_u64(0, 5));
+                    engine.run_until(deadline);
+                    reference.run_until(deadline);
+                    None
+                }
+                7 => {
+                    let stop = engine.world.log.len() + rng.index(6);
+                    let stopped = engine.run_while(|m| m.log.len() < stop);
+                    assert_eq!(stopped, reference.run_while(|log| log.len() < stop));
+                    mid_instant += usize::from(!engine.queue.hand.is_empty());
+                    Some(engine.now())
+                }
+                _ => {
+                    assert_eq!(engine.step(), reference.step(), "seed {seed} op {op}");
+                    None
+                }
+            };
+            if let Some(t) = put {
+                engine.put(t);
+                reference.put(t);
+            }
+            let at = format!("seed {seed} op {op}");
+            assert_eq!(engine.world.log, reference.log, "{at}");
+            assert_eq!(engine.now(), reference.now, "{at}");
+            assert_eq!(
+                engine.next_event_time(),
+                reference.next_event_time(),
+                "{at}"
+            );
+        }
+        engine.run();
+        while reference.step() {}
+        assert_eq!(engine.world.log, reference.log, "seed {seed} drained");
+        [clamps, mid_instant, engine.world.in_hand_cancels]
+    }
+
     #[test]
-    fn next_event_time_skips_canceled() {
-        let mut e = Engine::new(recorder());
-        let a = e.schedule_at(SimTime::from_micros(5), 1);
-        e.schedule_at(SimTime::from_micros(9), 2);
-        e.cancel(a);
-        assert_eq!(e.next_event_time(), Some(SimTime::from_micros(9)));
+    fn engine_matches_a_scanned_reference() {
+        let mut covered = [0; 3];
+        for seed in 0..64 {
+            for (total, n) in covered.iter_mut().zip(differential(seed, 300)) {
+                *total += n;
+            }
+        }
+        let [clamps, mid_instant, in_hand_cancels] = covered;
+        assert!(
+            clamps > 0 && mid_instant > 0 && in_hand_cancels > 0,
+            "{covered:?}"
+        );
     }
 }

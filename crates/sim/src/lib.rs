@@ -8,8 +8,9 @@
 //! - [`SimTime`] / [`SimDuration`] — integer-nanosecond virtual time.
 //! - [`Bandwidth`] — link and transmission rates with exact serialization
 //!   delays.
-//! - [`Engine`] — the event loop: a time-ordered queue with FIFO tie-break,
-//!   cancelable events and a [`World`] dispatch trait.
+//! - [`Engine`] — the event loop: a time-ordered queue with FIFO tie-break
+//!   (st-wheel's timing wheel at 1 ns ticks), cancelable events and a
+//!   [`World`] dispatch trait.
 //! - [`SimRng`] and distributions — seeded, reproducible randomness
 //!   (exponential, log-normal, Pareto, empirical mixtures).
 //!

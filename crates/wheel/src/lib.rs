@@ -8,7 +8,10 @@
 //!   tick (Varghese & Lauck scheme 7), an occupancy bitmap per level and
 //!   intrusive bucket lists: `O(1)` insert, `O(1)` cancel by unlinking,
 //!   find-first-set for the earliest deadline, and an expiry that visits
-//!   only the occupied buckets it crosses. The facility's store.
+//!   only the occupied buckets it crosses. The one production timer queue,
+//!   with two users: the facility's store (`st-core`, measurement-clock
+//!   ticks) and the simulator's event calendar (`st_sim::Engine`, whose
+//!   ticks are `SimTime` nanoseconds).
 //! - [`HeapQueue`] — binary-heap timer queue (`O(log n)` insert/expire), the
 //!   oracle the wheel must agree with and the baseline it is benchmarked
 //!   against.
@@ -34,8 +37,9 @@ pub use wheel::TimingWheel;
 /// A queue of `(deadline_tick, payload)` timers.
 ///
 /// Ticks are abstract `u64` values — the facility uses measurement-clock
-/// ticks (1 µs by default). Time never goes backwards: `advance` panics on
-/// a tick lower than a previous call's.
+/// ticks (1 µs by default), the simulator's engine virtual nanoseconds.
+/// Time never goes backwards: `advance` panics on a tick lower than a
+/// previous call's.
 pub trait TimerQueue<P> {
     /// Schedules `payload` to expire at absolute tick `deadline`.
     ///

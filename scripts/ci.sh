@@ -110,8 +110,8 @@ grep -q '"soft_sampling_cheaper":1' "$SMOKE_DIR/timeline_a.json" \
     || { echo "smoke: soft-timer sampling cost more than the hardware sampler" >&2; exit 1; }
 
 echo "== repro digest: the results plane is byte-identical to the frozen run =="
-# Ten deterministic experiments under one seed, reduced to a byte count
-# and a sha256 and compared with REPRO_DIGEST.txt. A PR that moves a
+# All 20 seed-deterministic experiments under one seed, reduced to a
+# byte count and a sha256 and compared with REPRO_DIGEST.txt. A PR that moves a
 # reported number on purpose re-freezes (`repro_digest.sh --freeze`) and
 # says so; any other difference is a regression.
 scripts/repro_digest.sh
