@@ -27,7 +27,7 @@
 //! ([`RequestClass`]) so a hostile bulk/slow mix cannot poison the
 //! interactive class's latency signal.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod controller;

@@ -18,8 +18,6 @@
 //! whole series — `scripts/bench_trend.sh` feeds it all committed
 //! `BENCH_PR*.json` files.
 
-#![forbid(unsafe_code)]
-
 use st_bench::suite;
 use st_trace::json;
 

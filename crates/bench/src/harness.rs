@@ -20,9 +20,13 @@ pub struct Bencher {
 
 impl Bencher {
     /// Times `f`, collecting `sample_size` samples of a batch each.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a benchmark harness times real code: the calibration run and each measured \
+                  sample"
+    )]
     pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
         // Warm-up and calibration: how many iterations fit in one sample?
-        // st-lint: allow(no-wall-clock) -- a benchmark harness times real code
         let start = Instant::now();
         std::hint::black_box(f());
         let once = start.elapsed().max(Duration::from_nanos(1));
@@ -30,7 +34,6 @@ impl Bencher {
 
         self.samples.clear();
         for _ in 0..self.sample_size {
-            // st-lint: allow(no-wall-clock) -- the measured sample itself
             let start = Instant::now();
             for _ in 0..batch {
                 std::hint::black_box(f());

@@ -8,7 +8,7 @@
 //! plus ~90 per-layer probes at 256 / 16k / 1M pending timers — is
 //! `benches/ledger` (`BENCHMARK.json`); there is no `cargo bench` tier.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod harness;

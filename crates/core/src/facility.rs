@@ -1,6 +1,8 @@
 //! The soft-timer facility core: schedule, trigger-state check, backup
 //! sweep, and delay accounting.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use st_wheel::{TimerQueue, TimingWheel};
 
 // `schedule` returns one and `cancel` consumes one, so callers holding a

@@ -55,7 +55,7 @@
 //! assert_eq!(due[0].payload, "send-packet");
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod api;

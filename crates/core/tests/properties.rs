@@ -208,7 +208,8 @@ fn facility_cancel_subset() {
         }
         let mut fired = Vec::new();
         core.poll(10_000, &mut fired);
-        let fired_ids: std::collections::HashSet<usize> = fired.iter().map(|e| e.payload).collect();
+        let fired_ids: std::collections::BTreeSet<usize> =
+            fired.iter().map(|e| e.payload).collect();
         for (i, &was_canceled) in canceled.iter().enumerate() {
             assert_eq!(
                 fired_ids.contains(&i),

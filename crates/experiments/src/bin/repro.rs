@@ -18,8 +18,6 @@
 //! byte-identical with and without it). See EXPERIMENTS.md for all
 //! three schemas.
 
-#![forbid(unsafe_code)]
-
 use st_experiments::{
     ack_compression, appendix_a, congestion, fault_matrix, fig2_fig3, fig4_table1, fig5,
     fig6_table2, latency, livelock, overload, profiler, profiler_overhead, rt_calibration,

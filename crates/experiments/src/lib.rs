@@ -42,7 +42,7 @@
 //! [`CATALOG`] is the machine-readable registry behind `repro --list`:
 //! every experiment's CLI names and metric keys, in dispatch order.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod ack_compression;

@@ -166,8 +166,11 @@ fn bench_checks(n: u64) -> f64 {
     let mut out = Vec::new();
     let mut now = 0u64;
     core.schedule(now, EVENT_PERIOD, 0);
-    // st-lint: allow(no-wall-clock) -- this experiment exists to measure the
-    // real-time cost of a poll check; simulated ticks cannot price it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this experiment exists to measure the real-time cost of a poll check; \
+                  simulated ticks cannot price it"
+    )]
     let start = Instant::now();
     for _ in 0..n {
         now += 7;

@@ -1,10 +1,11 @@
 //! Seed replay is byte-exact at the outermost observable layer: two
 //! `repro --json` runs with the same seed must produce identical bytes.
 //!
-//! This is the regression test for the `no-unordered-iteration` lint
-//! fixes (MultiPacer and the sim engine's live-event set moved to ordered
-//! containers): any order-dependent iteration that sneaks back into the
-//! simulation shows up here as a byte diff between two identical seeds.
+//! This is the regression test for the unordered-iteration fixes
+//! (MultiPacer and the sim engine's live-event set moved to ordered
+//! containers; clippy's `disallowed_types` now bans `HashMap`/`HashSet`):
+//! any order-dependent iteration that sneaks back into the simulation
+//! shows up here as a byte diff between two identical seeds.
 
 use std::process::Command;
 

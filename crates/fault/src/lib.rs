@@ -27,7 +27,7 @@
 //! rerun the same `(plan, seed, duration)` and compare
 //! [`harness::FaultReport`]s with `==`.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod backup;

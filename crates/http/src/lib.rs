@@ -17,7 +17,7 @@
 //!   and the four packet-dispatch policies with aggregation quotas
 //!   (Table 8).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod arrival;

@@ -8,6 +8,8 @@
 //! when interrupts are disabled in FreeBSD" (section 5.7), which is why
 //! hardware-timer pacing undershoots its target rate.
 
+#![deny(clippy::indexing_slicing)]
+
 use st_sim::{SimDuration, SimTime};
 
 /// Result of delivering a hardware timer interrupt.

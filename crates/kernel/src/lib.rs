@@ -27,7 +27,8 @@
 //!   accounting: the ground truth the `st-prof` statistical profiler is
 //!   validated against.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod context;

@@ -210,9 +210,11 @@ impl World for MachineWorld {
                 // entry/exit cost is far below our µs resolution of
                 // interest here.
                 let (_, source) = {
-                    // st-lint: allow(no-panicking-arith) -- the generation
-                    // check above proved this kernel entry belongs to the
-                    // still-running process
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the generation check above proved this kernel entry belongs \
+                                  to the still-running process"
+                    )]
                     let pid = self.sched.current().expect("a process was running");
                     let b = self.config.processes[pid.0 as usize % self.config.processes.len()];
                     match b {

@@ -150,8 +150,10 @@ impl Scheduler {
     ///
     /// Panics when no process is running.
     pub fn block_current(&mut self) -> ProcId {
-        // st-lint: allow(no-panicking-arith) -- documented precondition:
-        // only a running process can block
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: only a running process can block"
+        )]
         let cur = self.current.take().expect("no current process to block");
         self.remaining = SimDuration::ZERO;
         cur
@@ -168,8 +170,10 @@ impl Scheduler {
     ///
     /// Panics when no process is running.
     pub fn exit_current(&mut self) -> ProcId {
-        // st-lint: allow(no-panicking-arith) -- documented precondition:
-        // only a running process can exit
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: only a running process can exit"
+        )]
         let cur = self.current.take().expect("no current process to exit");
         self.remaining = SimDuration::ZERO;
         cur

@@ -6,6 +6,8 @@
 //! [`SoftClock::trigger`] at every trigger state and
 //! [`SoftClock::backup_tick`] from the periodic hardware timer.
 
+#![deny(clippy::indexing_slicing)]
+
 use st_core::facility::{Config, Expired, SoftTimerCore};
 use st_sim::SimTime;
 use st_wheel::TimerHandle;

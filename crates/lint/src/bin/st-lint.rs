@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Workspace lint gate.
 //!
 //! ```text

@@ -1,11 +1,11 @@
 //! Per-file context: what kind of file this is, which crate owns it, and
 //! which line ranges are test code.
 //!
-//! Rules care about *where* code lives: a wall-clock read is fine in a
-//! test or an example, a `HashMap` is fine outside the deterministic
-//! simulation crates, and the panicking-arithmetic rule watches only the
-//! facility/kernel dispatch paths. All of that policy is decided here so
-//! the rules themselves stay mechanical.
+//! Rules care about *where* code lives: a narrowing cast is fine in a
+//! test or an example, the float ban covers only the firing-bound files,
+//! and the unit-taint and shared-state analyses watch only the
+//! deterministic crates. All of that policy is decided here so the rules
+//! themselves stay mechanical.
 
 use crate::lexer::{Spanned, Tok};
 
@@ -40,27 +40,6 @@ pub struct FileContext {
 /// Crates whose runs must replay byte-identically from a seed.
 const DETERMINISTIC_CRATES: [&str; 8] = [
     "sim", "kernel", "core", "net", "tcp", "admit", "scope", "trace",
-];
-
-/// The sanctioned wall-clock home: the st-rt crate — the host runtime
-/// whose entire purpose is reading the real clock. Everything else must
-/// stay on simulated time.
-const WALL_CLOCK_HOME_PREFIXES: [&str; 1] = ["crates/rt/src/"];
-
-/// Facility/kernel hot paths watched for panicking arithmetic, and the
-/// host runtime's shared fire pass and closure runtime.
-const UNWRAP_WATCHED: [&str; 3] = [
-    "crates/core/src/facility.rs",
-    "crates/rt/src/shared.rs",
-    "crates/rt/src/timers.rs",
-];
-const UNWRAP_WATCHED_PREFIXES: [&str; 2] = ["crates/kernel/src/", "crates/wheel/src/"];
-
-/// Dispatch-path files where even raw indexing must be justified.
-const INDEX_WATCHED: [&str; 3] = [
-    "crates/core/src/facility.rs",
-    "crates/kernel/src/softclock.rs",
-    "crates/kernel/src/hwtimer.rs",
 ];
 
 /// Files holding the (S+T, S+T+X+1) bound math.
@@ -104,43 +83,8 @@ impl FileContext {
                 .any(|&(lo, hi)| (lo..=hi).contains(&line))
     }
 
-    /// Is this file a crate root that must carry the forbid attribute?
-    pub fn is_crate_root(&self) -> bool {
-        self.path.ends_with("src/lib.rs")
-            || self.path.ends_with("src/main.rs")
-            || (self.path.contains("/bin/") && self.path.ends_with(".rs"))
-    }
-
-    pub(crate) fn applies_wall_clock(&self) -> bool {
-        self.kind != FileKind::Test
-            && self.kind != FileKind::Example
-            && !WALL_CLOCK_HOME_PREFIXES
-                .iter()
-                .any(|p| self.path.starts_with(p))
-    }
-
-    pub(crate) fn applies_unordered_iteration(&self) -> bool {
-        self.kind != FileKind::Test && DETERMINISTIC_CRATES.contains(&self.crate_dir.as_str())
-    }
-
     pub(crate) fn applies_silent_cast(&self) -> bool {
         self.kind != FileKind::Test && self.kind != FileKind::Example
-    }
-
-    pub(crate) fn applies_panicking_unwrap(&self) -> bool {
-        self.kind != FileKind::Test
-            && (UNWRAP_WATCHED.contains(&self.path.as_str())
-                || UNWRAP_WATCHED_PREFIXES
-                    .iter()
-                    .any(|p| self.path.starts_with(p)))
-    }
-
-    pub(crate) fn applies_panicking_index(&self) -> bool {
-        self.kind != FileKind::Test && INDEX_WATCHED.contains(&self.path.as_str())
-    }
-
-    pub(crate) fn applies_sealed_trace(&self) -> bool {
-        self.kind == FileKind::Lib
     }
 
     pub(crate) fn applies_float_bounds(&self) -> bool {
@@ -295,14 +239,6 @@ mod tests {
         assert_eq!(t("tests/determinism.rs"), FileKind::Test);
         assert_eq!(t("crates/lint/tests/golden.rs"), FileKind::Test);
         assert_eq!(t("src/lib.rs"), FileKind::Lib);
-    }
-
-    #[test]
-    fn crate_roots() {
-        assert!(FileContext::new("crates/core/src/lib.rs", &[]).is_crate_root());
-        assert!(FileContext::new("src/lib.rs", &[]).is_crate_root());
-        assert!(FileContext::new("crates/experiments/src/bin/repro.rs", &[]).is_crate_root());
-        assert!(!FileContext::new("crates/core/src/pacer.rs", &[]).is_crate_root());
     }
 
     #[test]

@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn trailing_comment_targets_own_line() {
-        let s = parse_src("let x = foo(); // st-lint: allow(no-wall-clock) -- test shim\n");
+        let s = parse_src("let x = foo(); // st-lint: allow(no-silent-cast) -- test shim\n");
         assert_eq!(s.ok.len(), 1);
         assert_eq!(s.ok[0].target_line, 1);
         assert_eq!(s.ok[0].reason, "test shim");
@@ -169,9 +169,9 @@ mod tests {
     #[test]
     fn wrapped_suppression_reaches_past_continuation_lines() {
         let s = parse_src(
-            "// st-lint: allow(no-wall-clock) -- this reason is long and\n\
+            "// st-lint: allow(no-silent-cast) -- this reason is long and\n\
              // wraps onto a second comment line\n\
-             let start = Instant::now();\n",
+             let due = deadline as u32;\n",
         );
         assert_eq!(s.ok.len(), 1);
         assert_eq!(s.ok[0].target_line, 3);
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn missing_reason_is_rejected() {
-        let s = parse_src("// st-lint: allow(no-wall-clock)\nlet x = 1;\n");
+        let s = parse_src("// st-lint: allow(no-silent-cast)\nlet x = 1;\n");
         assert!(s.ok.is_empty());
         assert_eq!(s.bad.len(), 1);
         assert!(s.bad[0].why.contains("needs a reason"), "{}", s.bad[0].why);
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn doc_comments_are_documentation_not_annotations() {
         let s = parse_src(
-            "//! st-lint: allow(no-wall-clock) -- syntax shown in docs\n\
+            "//! st-lint: allow(no-silent-cast) -- syntax shown in docs\n\
              /// st-lint: allow(bogus-rule)\n",
         );
         assert!(s.ok.is_empty() && s.bad.is_empty());

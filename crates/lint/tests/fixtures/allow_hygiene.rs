@@ -1,7 +1,7 @@
 //! Fixture: linted under the pretend path `crates/core/src/fixture.rs`.
 //! Every annotation below is bad in a different way.
 
-// st-lint: allow(no-wall-clock)
+// st-lint: allow(no-silent-cast)
 fn missing_reason() {}
 
 // st-lint: allow(not-a-rule) -- the rule does not exist
@@ -10,5 +10,5 @@ fn unknown_rule() {}
 // st-lint: allow(allow-hygiene) -- hygiene itself is not suppressible
 fn unsuppressible() {}
 
-// st-lint: allow(no-wall-clock) -- well-formed but matches nothing
+// st-lint: allow(no-silent-cast) -- well-formed but matches nothing
 fn stale() {}

@@ -1,6 +1,6 @@
-//! Fixture: linted under the pretend path `crates/fixture/src/lib.rs`,
-//! a crate root with no `#![forbid(unsafe_code)]` attribute.
+//! Fixture: `unsafe_code = "forbid"` comes from the crate's `[lints]`
+//! table, so no attribute in the source is needed, or can lift it.
 
-pub fn danger(p: *const u64) -> u64 {
-    unsafe { *p }
+pub fn danger(p: &u64) -> u64 {
+    unsafe { *(p as *const u64) }
 }

@@ -1,20 +1,20 @@
-//! Fixture: linted under the pretend path `crates/kernel/src/hwtimer.rs`
-//! (on the unwrap watchlist via `crates/kernel/src/` and on the index
-//! watchlist by name).
+//! Fixture: the denies `crates/kernel/src/hwtimer.rs` inherits from the
+//! kernel crate root plus its own, as one attribute.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-fn positive(v: &[u64], o: Option<u64>) -> u64 {
+pub fn positive(v: &[u64], o: Option<u64>) -> u64 {
     let x = v[0];
     o.unwrap() + x
 }
 
-fn suppressed(o: Option<u64>) -> u64 {
-    // st-lint: allow(no-panicking-arith) -- fixture: invariant holds
+#[expect(clippy::expect_used, reason = "fixture: invariant holds")]
+pub fn suppressed(o: Option<u64>) -> u64 {
     o.expect("fixture invariant")
 }
 
-// st-lint: allow(no-panicking-arith) -- fixture: stale annotation
-fn stale() {}
+#[expect(clippy::expect_used, reason = "fixture: stale annotation")]
+pub fn stale() {}
 
-fn checked_is_fine(v: &[u64]) -> Option<u64> {
-    v.get(0).copied()
+pub fn checked_is_fine(v: &[u64]) -> Option<u64> {
+    v.first().copied()
 }

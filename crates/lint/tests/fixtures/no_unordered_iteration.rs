@@ -1,14 +1,14 @@
-//! Fixture: linted under the pretend path `crates/sim/src/fixture.rs`.
+//! Fixture: compiled by the clippy fixture crate under the root clippy.toml.
 use std::collections::HashMap;
 
-fn positive(m: &HashMap<u32, u32>) -> usize {
+pub fn positive(m: &HashMap<u32, u32>) -> usize {
     m.len()
 }
 
-// st-lint: allow(no-unordered-iteration) -- fixture: membership only
-fn suppressed(s: &std::collections::HashSet<u32>) -> usize {
+#[expect(clippy::disallowed_types, reason = "fixture: membership only")]
+pub fn suppressed(s: &std::collections::HashSet<u32>) -> usize {
     s.len()
 }
 
-// st-lint: allow(no-unordered-iteration) -- fixture: stale annotation
-fn stale() {}
+#[expect(clippy::disallowed_types, reason = "fixture: stale annotation")]
+pub fn stale() {}

@@ -1,20 +1,20 @@
-//! Fixture: linted under the pretend path `crates/net/src/fixture.rs`.
+//! Fixture: compiled by the clippy fixture crate under the root clippy.toml.
 use std::time::Instant;
 
-fn positive() {
+pub fn positive() {
     let _ = Instant::now();
     std::thread::sleep(std::time::Duration::from_millis(1));
 }
 
-fn suppressed() {
-    // st-lint: allow(no-wall-clock) -- fixture: a justified real-time read
+pub fn suppressed() {
+    #[expect(clippy::disallowed_methods, reason = "fixture: a justified real-time read")]
     let _ = Instant::now();
 }
 
-// st-lint: allow(no-wall-clock) -- fixture: nothing left to allow here
-fn stale() {}
+#[expect(clippy::disallowed_methods, reason = "fixture: nothing left to allow here")]
+pub fn stale() {}
 
-#[test]
-fn wall_clock_is_fine_in_tests() {
-    let _ = Instant::now();
+/// The host calendar is banned as a type, not only through `now()`.
+pub fn calendar(t: std::time::SystemTime) -> std::time::SystemTime {
+    t
 }

@@ -1,17 +1,17 @@
-//! Fixture: linted under the pretend path `crates/net/src/fixture.rs`
-//! (a library crate, where ad-hoc prints are sealed off).
+//! Fixture: the deny every library crate root carries.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub fn positive() {
     println!("chatty library");
     dbg!(42);
 }
 
+#[expect(clippy::print_stderr, reason = "fixture: user-facing report")]
 pub fn suppressed() {
-    // st-lint: allow(sealed-trace-only) -- fixture: user-facing report
     eprintln!("deliberate");
 }
 
-// st-lint: allow(sealed-trace-only) -- fixture: stale annotation
+#[expect(clippy::print_stderr, reason = "fixture: stale annotation")]
 pub fn stale() {}
 
 pub fn grabs_a_handle() {

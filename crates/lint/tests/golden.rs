@@ -2,7 +2,8 @@
 //! positive hit, a suppressed hit, and a stale suppression, and the exact
 //! `(rule, line, suppressed)` set is pinned here. The fixtures live under
 //! `tests/fixtures/` (excluded from workspace walks) and are linted under
-//! *pretend* paths, since the path decides which rules apply.
+//! *pretend* paths, since the path decides which rules apply. (The fixtures
+//! of the rules clippy enforces are compiled by `fixtures/clippy/`.)
 
 use st_lint::rules::RuleId;
 use st_lint::{lint_source, Report};
@@ -25,59 +26,6 @@ fn check(pretend_path: &str, src: &str, expected: &[(RuleId, u32, bool)]) {
 }
 
 #[test]
-fn no_wall_clock_fixture() {
-    // Under st-core's old runtime path: no file of a deterministic crate
-    // is a sanctioned wall-clock home any more.
-    check(
-        "crates/core/src/rt.rs",
-        include_str!("fixtures/no_wall_clock.rs"),
-        &[
-            (RuleId::NoWallClock, 5, false),
-            (RuleId::NoWallClock, 6, false),
-            (RuleId::NoWallClock, 11, true),
-            (RuleId::AllowHygiene, 14, false),
-        ],
-    );
-}
-
-#[test]
-fn wall_clock_homes_are_sanctioned() {
-    // The st-rt crate is the declared real-time boundary: the same
-    // source that flags under any other library path is clean there. The
-    // rule no longer applies, so the fixture's suppression comments turn
-    // stale and surface as AllowHygiene findings — stale allows are
-    // findings everywhere.
-    for path in [
-        "crates/rt/src/timers.rs",
-        "crates/rt/src/host.rs",
-        "crates/rt/src/clock.rs",
-    ] {
-        check(
-            path,
-            include_str!("fixtures/no_wall_clock.rs"),
-            &[
-                (RuleId::AllowHygiene, 10, false),
-                (RuleId::AllowHygiene, 14, false),
-            ],
-        );
-    }
-}
-
-#[test]
-fn no_unordered_iteration_fixture() {
-    check(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/no_unordered_iteration.rs"),
-        &[
-            (RuleId::NoUnorderedIteration, 2, false),
-            (RuleId::NoUnorderedIteration, 4, false),
-            (RuleId::NoUnorderedIteration, 9, true),
-            (RuleId::AllowHygiene, 13, false),
-        ],
-    );
-}
-
-#[test]
 fn no_silent_cast_fixture() {
     check(
         "crates/core/src/fixture.rs",
@@ -87,47 +35,6 @@ fn no_silent_cast_fixture() {
             (RuleId::NoSilentCast, 8, false),
             (RuleId::NoSilentCast, 13, true),
             (RuleId::AllowHygiene, 16, false),
-        ],
-    );
-}
-
-#[test]
-fn no_panicking_arith_fixture() {
-    check(
-        "crates/kernel/src/hwtimer.rs",
-        include_str!("fixtures/no_panicking_arith.rs"),
-        &[
-            (RuleId::NoPanickingArith, 6, false),
-            (RuleId::NoPanickingArith, 7, false),
-            (RuleId::NoPanickingArith, 12, true),
-            (RuleId::AllowHygiene, 15, false),
-        ],
-    );
-}
-
-#[test]
-fn forbid_unsafe_fixture() {
-    check(
-        "crates/fixture/src/lib.rs",
-        include_str!("fixtures/forbid_unsafe.rs"),
-        &[
-            (RuleId::ForbidUnsafeEverywhere, 1, false),
-            (RuleId::ForbidUnsafeEverywhere, 5, false),
-        ],
-    );
-}
-
-#[test]
-fn sealed_trace_fixture() {
-    check(
-        "crates/net/src/fixture.rs",
-        include_str!("fixtures/sealed_trace.rs"),
-        &[
-            (RuleId::SealedTraceOnly, 5, false),
-            (RuleId::SealedTraceOnly, 6, false),
-            (RuleId::SealedTraceOnly, 11, true),
-            (RuleId::AllowHygiene, 14, false),
-            (RuleId::SealedTraceOnly, 18, false),
         ],
     );
 }
@@ -242,28 +149,8 @@ fn corpus_covers_every_rule() {
     let mut hit: Vec<RuleId> = Vec::new();
     for (path, src) in [
         (
-            "crates/net/src/fixture.rs",
-            include_str!("fixtures/no_wall_clock.rs"),
-        ),
-        (
-            "crates/sim/src/fixture.rs",
-            include_str!("fixtures/no_unordered_iteration.rs"),
-        ),
-        (
             "crates/core/src/fixture.rs",
             include_str!("fixtures/no_silent_cast.rs"),
-        ),
-        (
-            "crates/kernel/src/hwtimer.rs",
-            include_str!("fixtures/no_panicking_arith.rs"),
-        ),
-        (
-            "crates/fixture/src/lib.rs",
-            include_str!("fixtures/forbid_unsafe.rs"),
-        ),
-        (
-            "crates/net/src/fixture.rs",
-            include_str!("fixtures/sealed_trace.rs"),
         ),
         (
             "crates/wheel/src/fixture.rs",

@@ -19,7 +19,7 @@
 //! - [`wire`] — deterministic per-packet wire faults: loss, reordering,
 //!   duplication, replayable from a `(faults, seed)` pair.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod driver;

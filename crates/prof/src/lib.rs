@@ -28,7 +28,7 @@
 //! Everything is deterministic and allocation-light: recording a sample
 //! of an already-seen stack is one `BTreeMap` lookup, no allocation.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;

@@ -37,10 +37,15 @@
 //!   plan's seed, so every chaos run has a seed-replayable sim twin.
 //!
 //! This is, deliberately, the **only** crate allowed to read wall-clock
-//! time or spawn threads around the facility — the `no-wall-clock` lint
-//! pins host time here; st-core and the simulator stay deterministic.
+//! time or spawn threads around the facility — the root `clippy.toml`
+//! bans the host clock everywhere else, and the `#![expect]` below lifts
+//! the ban here; st-core and the simulator stay deterministic.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "st-rt is the host runtime: reading and waiting on the real clock is its job"
+)]
 #![warn(missing_docs)]
 
 pub mod chaos;

@@ -31,6 +31,8 @@
 //! `host_saturated` offers; one lane carries that, and 17 M/s of 20 M/s)
 //! and split the work differently from one run to the next (DESIGN.md §15).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

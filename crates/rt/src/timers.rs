@@ -19,6 +19,8 @@
 //!
 //! `examples/quickstart.rs` and the `soft_timers` crate docs show it in use.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
@@ -102,11 +104,14 @@ impl RtSoftTimers {
             backup: Mutex::new(None),
         });
         let weak = Arc::downgrade(&rt);
+        #[expect(
+            clippy::expect_used,
+            reason = "one-time startup; a host that cannot spawn the backup thread cannot run \
+                      the facility"
+        )]
         let handle = std::thread::Builder::new()
             .name("soft-timer-backup".into())
             .spawn(move || backup_loop(&weak, config.backup_period))
-            // st-lint: allow(no-panicking-arith) -- one-time startup; a host
-            // that cannot spawn the backup thread cannot run the facility
             .expect("failed to spawn backup thread");
         *lock_recover(&rt.backup) = Some(handle);
         rt

@@ -21,7 +21,7 @@
 //! monotone) and may overlap (an interrupt preempting a handler); the
 //! query walks their union, so overlap never double-counts.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 /// Kept for `benches/ledger`, which path-depends on this package and

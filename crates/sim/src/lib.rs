@@ -17,7 +17,7 @@
 //! Everything is deterministic given a seed: two runs with the same seed
 //! produce bit-identical event orders (asserted by integration tests).
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod bandwidth;

@@ -16,7 +16,7 @@
 //! The crate is dependency-free so that every other crate in the workspace
 //! can use it without pulling anything else in.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod cdf;

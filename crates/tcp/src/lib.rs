@@ -20,7 +20,7 @@
 //!   optionally through a finite drop-tail bottleneck with wire faults,
 //!   with the retransmission timer running as a soft-timer event.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod pacing;

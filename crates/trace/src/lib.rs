@@ -33,7 +33,7 @@
 //! threads (e.g. the `rt` backup thread) is invisible to a session;
 //! callers that need it must start a session on that thread.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod event;

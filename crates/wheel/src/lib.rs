@@ -23,7 +23,8 @@
 //! interchangeable inside the facility. Seeded property tests check the
 //! wheel against [`HeapQueue`] on generated op sequences.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod heap;

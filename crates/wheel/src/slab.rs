@@ -79,9 +79,11 @@ impl<P, L: Default> TimerSlab<P, L> {
                 }
             }
             None => {
-                // st-lint: allow(no-panicking-arith) -- handles carry u32
-                // indices by design; 2^32 live timers is a program bug, not
-                // a runtime condition to recover from
+                #[expect(
+                    clippy::expect_used,
+                    reason = "handles carry u32 indices by design; 2^32 live timers is a program \
+                              bug, not a runtime condition to recover from"
+                )]
                 let idx = u32::try_from(self.slots.len()).expect("timer slab exceeds u32 slots");
                 self.slots.push(Slot {
                     generation: 0,

@@ -18,7 +18,7 @@
 //! median, max and the tail fractions, and let the deviation land where
 //! it mathematically must; EXPERIMENTS.md records the discrepancy.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub mod catalog;

@@ -29,7 +29,7 @@ fn main() {
     let mut now = 0u64;
     let mut next_backup = 1000u64;
     let mut out = Vec::new();
-    let mut intervals: std::collections::HashMap<u32, (Option<u64>, Summary)> = targets
+    let mut intervals: std::collections::BTreeMap<u32, (Option<u64>, Summary)> = targets
         .iter()
         .map(|&(c, _)| (c, (None, Summary::new())))
         .collect();

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use soft_timers::rt::{RtConfig, RtSoftTimers};
+use soft_timers::rt::{NanoClock, RtConfig, RtSoftTimers};
 
 fn main() {
     let timers = RtSoftTimers::start(RtConfig::default());
@@ -73,13 +73,13 @@ fn main() {
         }
     }
     let t = ticks.clone();
-    let start = std::time::Instant::now();
+    let clock = NanoClock::new();
     timers.schedule_in(Duration::from_micros(100), move |rt| tick(rt, t));
     while ticks.load(Ordering::Relaxed) < 100 {
         busy_work(Duration::from_micros(10));
         timers.run_pending();
     }
-    let elapsed = start.elapsed();
+    let elapsed = Duration::from_nanos(clock.now_ns());
     println!(
         "100 self-rescheduling events at a 100 us target took {:.2} ms \
          (ideal 10.0 ms; overshoot is trigger-state latency)",
@@ -92,8 +92,8 @@ fn main() {
 /// Spins the CPU for roughly `d` (simulating application work between
 /// trigger states).
 fn busy_work(d: Duration) {
-    let start = std::time::Instant::now();
-    while start.elapsed() < d {
+    let clock = NanoClock::new();
+    while Duration::from_nanos(clock.now_ns()) < d {
         std::hint::spin_loop();
     }
 }

@@ -10,6 +10,30 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== clippy fixtures: the compiler-enforced rules still fire =="
+# The fixture crate in crates/lint/tests/fixtures/clippy/ compiles the
+# fixtures of the rules rustc and clippy enforce (no unsafe, no wall
+# clock, no HashMap, no panicking unwrap/index, sealed trace, expect-only
+# suppressions) under the root clippy.toml. Its (file, line, lint) set
+# must equal expected.txt: every planted violation fires, an #[expect]ed
+# one does not, and a stale #[expect] is an unfulfilled expectation. The
+# crate is meant to fail to compile, so clippy's exit status is ignored;
+# an empty or partial set fails the diff instead.
+fixtures=crates/lint/tests/fixtures/clippy
+found="$(mktemp)"
+cargo clippy --offline --quiet --manifest-path "$fixtures/Cargo.toml" \
+    --target-dir target/clippy-fixtures --message-format=json 2>/dev/null |
+    jq -r 'select(.reason == "compiler-message" and .message.code != null)
+        | .message as $m | $m.spans[] | select(.is_primary)
+        | "\(.file_name):\(.line_start):\($m.code.code)"' |
+    LC_ALL=C sort -u > "$found" || true
+if ! diff -u "$fixtures/expected.txt" "$found"; then
+    rm -f "$found"
+    echo "clippy fixtures: findings differ from $fixtures/expected.txt" >&2
+    exit 1
+fi
+rm -f "$found"
+
 echo "== st-lint: determinism & timing-safety invariants =="
 # Exits 1 on any unsuppressed finding; stale or reasonless suppressions
 # are findings too (allow-hygiene), so the allow-list cannot rot. The

@@ -2,8 +2,9 @@
 # Lines-of-code budget: per-crate `*.rs` line counts (sources and tests
 # alike) beside the figures frozen in LOC_BUDGET.txt, with the delta —
 # plus the two workspace-wide tracked numbers of ROADMAP.md: `total`
-# (all of the above) and `allows` (`st-lint: allow` suppressions in the
-# same files, lint fixtures included). Informational, like
+# (all of the above) and `allows` (suppressions in the same files, lint
+# fixtures included: st-lint's `st-lint: allow` comments and the
+# compiler's `#[expect(` / `#![expect(` attributes). Informational, like
 # bench_trend.sh — growth should be a visible decision, not a gate.
 # `root` is src/, tests/ and examples/.
 #
@@ -32,7 +33,7 @@ count() {
     done |
         awk '{ n[$1] += $2 } END { for (k in n) print k, n[k] }' | sort |
         awk '{ print; t += $2 } END { print "total", t }'
-    echo "allows $(sources | tr '\n' '\0' | xargs -0 grep -h 'st-lint: allow' | wc -l)"
+    echo "allows $(sources | tr '\n' '\0' | xargs -0 grep -hE 'st-lint: allow|#!?\[expect\(' | wc -l)"
 }
 
 if [ "${1:-}" = "--freeze" ]; then

@@ -59,7 +59,7 @@
 //! timers.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 #![warn(missing_docs)]
 
 pub use st_core as core;
