@@ -517,7 +517,7 @@ pub fn run_guarded(config: &GuardConfig) -> GuardReport {
     report.host = finish_report(&shared, config.host.workers, measured_ns, outs);
     // The dispatch boundary notes each panic it catches in the core.
     report.panics_caught = report.host.stats.handler_panics;
-    report.panics_injected = shared.chaos.as_ref().map_or(0, |c| c.panics_injected());
+    report.panics_injected = shared.ctx.as_ref().map_or(0, |c| c.panics_injected());
     report.clock_jumps_applied = shared.clock.jumps_applied();
     report.lock_recoveries = lock_recoveries().saturating_sub(lock_recoveries_before);
     report

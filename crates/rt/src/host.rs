@@ -6,7 +6,7 @@
 //! returns, but an event-driven server has the same structure: a worker
 //! pool whose **task-return points** are its syscall-return shims, plus an
 //! **idle thread** polling the facility in a tight loop, plus a periodic
-//! **backup sweep** thread playing the hardware interrupt. This module
+//! **backup sweep** lane playing the hardware interrupt. This module
 //! runs the *same* `SoftTimerCore` the simulator uses over those three
 //! real trigger sources and measures, in wall-clock nanoseconds:
 //!
@@ -166,10 +166,20 @@ impl FireAccum {
     }
 }
 
-pub(crate) struct Shared {
+/// What a lane table carries: [`run`]'s [`PeriodicEvent`] or
+/// `RtSoftTimers`' boxed closures, each monomorphised into its own lanes.
+pub(crate) trait Payload: Periodic + Send + Sized + 'static {
+    /// What every handler of the runtime reads, kept in [`Shared::ctx`].
+    type Ctx: Send + Sync;
+    /// The handler of one fired event, run on the dispatching thread with
+    /// nothing locked; accounts the fire in that lane's `acc`.
+    fn run(ev: &mut Expired<Self>, shared: &Shared<Self>, acc: &mut FireAccum);
+}
+
+pub(crate) struct Shared<P: Payload = PeriodicEvent> {
     /// The facility every lane checks, reached only through
     /// [`SharedCore`]'s guard and its cached earliest-deadline word.
-    pub(crate) core: SharedCore<PeriodicEvent>,
+    pub(crate) core: SharedCore<P>,
     /// Host clock; healthy runs use [`FaultClock::healthy`], which reads
     /// the raw clock plus one relaxed load.
     pub(crate) clock: FaultClock,
@@ -180,8 +190,25 @@ pub(crate) struct Shared {
     /// Whether the supervisor currently holds the runtime in degraded
     /// mode (fires also recorded into `FireAccum::degraded_delay`).
     pub(crate) degraded: AtomicBool,
-    /// Panic-injection decisions for chaos runs; `None` on healthy runs.
-    pub(crate) chaos: Option<ChaosState>,
+    /// What the payload's handlers run against: for [`run`]'s, the
+    /// panic-injection decisions of a chaos run (`None` on healthy runs).
+    pub(crate) ctx: P::Ctx,
+}
+
+impl<P: Payload> Shared<P> {
+    /// The shared runtime state with nothing armed and a backup sweep every
+    /// `config.backup_period`.
+    pub(crate) fn new(config: &HostConfig, clock: FaultClock, ctx: P::Ctx) -> Arc<Self> {
+        let backup_period_ns = nanos(config.backup_period).max(1);
+        Arc::new(Shared {
+            core: SharedCore::new(backup_period_ns),
+            clock,
+            stop: AtomicBool::new(false),
+            backup_period_ns: AtomicU64::new(backup_period_ns),
+            degraded: AtomicBool::new(false),
+            ctx,
+        })
+    }
 }
 
 impl Shared {
@@ -193,15 +220,7 @@ impl Shared {
         clock: FaultClock,
         chaos: Option<ChaosState>,
     ) -> Arc<Shared> {
-        let backup_period_ns = nanos(config.backup_period).max(1);
-        let shared = Arc::new(Shared {
-            core: SharedCore::new(backup_period_ns),
-            clock,
-            stop: AtomicBool::new(false),
-            backup_period_ns: AtomicU64::new(backup_period_ns),
-            degraded: AtomicBool::new(false),
-            chaos,
-        });
+        let shared = Shared::new(config, clock, chaos);
         // Arm the periodic workload before any thread starts measuring.
         {
             let mut core = shared.core.lock();
@@ -346,40 +365,44 @@ pub struct HostReport {
     pub stats: st_core::FacilityStats,
 }
 
-/// The handler of one fired event: accounts the fire in the lane's
-/// accumulator; touches nothing shared but the `degraded` flag.
-pub(crate) fn run_handler(shared: &Shared, ev: &Expired<PeriodicEvent>, acc: &mut FireAccum) {
-    let delay = ev.delay();
-    match ev.origin {
-        FireOrigin::TriggerState => acc.trigger_delay.record(delay),
-        FireOrigin::BackupInterrupt => acc.backup_delay.record(delay),
-    }
-    if shared.degraded.load(Ordering::Relaxed) {
-        acc.degraded_delay.record(delay);
-    }
-    acc.handler_runs += 1;
-    // Sealed telemetry: visible to a telemetry session on the
-    // dispatching thread, a no-op otherwise (same contract as the sim).
-    if st_trace::active() {
-        st_trace::count("rt.host.fires", 1);
-        st_trace::emit(
-            st_trace::Category::Rt,
-            "rt.host.fire",
-            ev.fired_at,
-            ev.due,
-            delay,
-        );
-    }
-    match ev.origin {
-        FireOrigin::TriggerState => st_trace::fire_delay("rt.host.trigger", delay, 0),
-        FireOrigin::BackupInterrupt => st_trace::fire_delay("rt.host.backup", delay, 0),
-    }
-    // The measured workload's real handler body is empty; a chaos run
-    // makes some of them panic, last, so the fire is fully accounted. The
-    // dispatch boundary in `fire_due` must contain that to the one fire —
-    // not the lane, not the runtime.
-    if shared.chaos.as_ref().is_some_and(ChaosState::should_panic) {
-        panic!("injected handler panic (due {})", ev.due);
+/// The measured workload's handler accounts the fire in the lane's
+/// accumulator and touches nothing shared but the `degraded` flag.
+impl Payload for PeriodicEvent {
+    type Ctx = Option<ChaosState>;
+
+    fn run(ev: &mut Expired<Self>, shared: &Shared, acc: &mut FireAccum) {
+        let delay = ev.delay();
+        match ev.origin {
+            FireOrigin::TriggerState => acc.trigger_delay.record(delay),
+            FireOrigin::BackupInterrupt => acc.backup_delay.record(delay),
+        }
+        if shared.degraded.load(Ordering::Relaxed) {
+            acc.degraded_delay.record(delay);
+        }
+        acc.handler_runs += 1;
+        // Sealed telemetry: visible to a telemetry session on the
+        // dispatching thread, a no-op otherwise (same contract as the sim).
+        if st_trace::active() {
+            st_trace::count("rt.host.fires", 1);
+            st_trace::emit(
+                st_trace::Category::Rt,
+                "rt.host.fire",
+                ev.fired_at,
+                ev.due,
+                delay,
+            );
+        }
+        match ev.origin {
+            FireOrigin::TriggerState => st_trace::fire_delay("rt.host.trigger", delay, 0),
+            FireOrigin::BackupInterrupt => st_trace::fire_delay("rt.host.backup", delay, 0),
+        }
+        // The measured workload's real handler body is empty; a chaos run
+        // makes some of them panic, last, so the fire is fully accounted. The
+        // dispatch boundary in `fire_due` must contain that to the one fire —
+        // not the lane, not the runtime.
+        if shared.ctx.as_ref().is_some_and(ChaosState::should_panic) {
+            panic!("injected handler panic (due {})", ev.due);
+        }
     }
 }
 
@@ -402,7 +425,7 @@ pub(crate) struct LaneCtl {
 impl LaneCtl {
     /// True when this lane thread must exit: the run is stopping, or a
     /// replacement for it has been spawned.
-    fn over(&self, shared: &Shared) -> bool {
+    fn over<P: Payload>(&self, shared: &Shared<P>) -> bool {
         shared.stop.load(Ordering::Relaxed) || self.gen.load(Ordering::Relaxed) != self.my_gen
     }
 
@@ -416,7 +439,7 @@ impl LaneCtl {
     /// lane's latest clock reading) and executes any due stall window as a
     /// spin that stop/supersede still end — the *heartbeat* is what goes
     /// silent, not the process. Returns `false` when the lane should exit.
-    fn tick(&mut self, shared: &Shared, now: u64) -> bool {
+    fn tick<P: Payload>(&mut self, shared: &Shared<P>, now: u64) -> bool {
         if self.over(shared) {
             return false;
         }
@@ -437,7 +460,7 @@ impl LaneCtl {
     /// the hold between them: beats the heartbeat; `false` when the lane
     /// must exit or a stall window is due — [`Self::tick`]'s to act on, once
     /// the batch in hand is armed and the lane carries nothing.
-    fn go_on(&self, shared: &Shared, now: u64) -> bool {
+    fn go_on<P: Payload>(&self, shared: &Shared<P>, now: u64) -> bool {
         self.hb.beat(now);
         !self.over(shared) && self.stall_due(now).is_none()
     }
@@ -446,14 +469,14 @@ impl LaneCtl {
 /// One trigger-state check of a lane at its clock reading `seen_ns`, or one
 /// backup sweep (`None`): the shared [`SharedCore::fire_due`] pass on the
 /// host clock, handlers run against the lane's `acc`. Returns how many fired.
-pub(crate) fn trigger_check(
-    shared: &Shared,
+pub(crate) fn trigger_check<P: Payload>(
+    shared: &Shared<P>,
     seen_ns: Option<u64>,
-    buf: &mut Vec<Expired<PeriodicEvent>>,
+    buf: &mut Vec<Expired<P>>,
     acc: &mut FireAccum,
 ) -> usize {
     let now_ns = || shared.clock.now_ns();
-    let handler = |ev: &mut Expired<PeriodicEvent>| run_handler(shared, ev, acc);
+    let handler = |ev: &mut Expired<P>| P::run(ev, shared, acc);
     shared.core.fire_due(seen_ns, now_ns, buf, handler)
 }
 
@@ -461,16 +484,23 @@ pub(crate) fn trigger_check(
 /// record its window and the interval from the start of the check before.
 /// A worker gets there by finishing `wait_ns` of busy work, cut short by
 /// stop / supersede but never by a deadline (that would be a hardware
-/// timer, not a soft one); the backup lane by sleeping one sweep period
-/// (re-read every cycle: the supervisor's retunes take effect at once).
+/// timer, not a soft one); the backup lane by parking one sweep period
+/// (re-read every cycle: the supervisor's retunes take effect at once),
+/// unparked early by [`Lanes::join`] and then gone without a sweep: past
+/// the stop, a sweep would only fire what the run no longer measures.
 /// Both run one batch and read the clock to close the check. The idle lane
 /// waits on the deadline word for at most `wait_ns` and runs rounds until
 /// a poll comes back empty, each one check; the last hold's reading closes
 /// the last round and is the first the next wait tests, so between a
 /// deadline passing and its dispatch the clock is read once, under the lock.
-fn lane_loop(shared: &Shared, class: LaneClass, wait_ns: u64, mut ctl: LaneCtl) -> ThreadOut {
+fn lane_loop<P: Payload>(
+    shared: &Shared<P>,
+    class: LaneClass,
+    wait_ns: u64,
+    mut ctl: LaneCtl,
+) -> ThreadOut {
     let mut out = ThreadOut::empty();
-    let mut buf: Vec<Expired<PeriodicEvent>> = Vec::new();
+    let mut buf: Vec<Expired<P>> = Vec::new();
     let mut last_check: Option<u64> = None;
     // One check, `from` the reading that opened it `to` the one that closed it.
     let mut record = |from: u64, to: u64| {
@@ -495,7 +525,7 @@ fn lane_loop(shared: &Shared, class: LaneClass, wait_ns: u64, mut ctl: LaneCtl) 
                 let pause_end = now.saturating_add(wait_ns);
                 let over = |t| t >= pause_end || ctl.over(shared);
                 t0 = core.wait_due(now, clock, over);
-                let handler = |ev: &mut _| run_handler(shared, ev, &mut out.fires);
+                let handler = |ev: &mut _| P::run(ev, shared, &mut out.fires);
                 core.fire_rounds(t0, clock, &mut buf, handler, |hold_ns| {
                     record(std::mem::replace(&mut t0, hold_ns), hold_ns);
                     ctl.go_on(shared, hold_ns)
@@ -503,7 +533,10 @@ fn lane_loop(shared: &Shared, class: LaneClass, wait_ns: u64, mut ctl: LaneCtl) 
             }
             LaneClass::Backup => {
                 let period_ns = shared.backup_period_ns.load(Ordering::Relaxed);
-                std::thread::sleep(Duration::from_nanos(period_ns));
+                std::thread::park_timeout(Duration::from_nanos(period_ns));
+                if ctl.over(shared) {
+                    break;
+                }
                 t0 = clock();
                 trigger_check(shared, None, &mut buf, &mut out.fires);
                 None
@@ -531,22 +564,23 @@ struct Lane {
 /// The lane table: every lane thread of a run — which exist
 /// ([`lane_classes`]), their heartbeats, generation cells, stall windows
 /// and join handles. [`run`] launches it, sleeps, stops and joins;
-/// `run_guarded` lends it to the supervisor thread in between.
-pub(crate) struct Lanes {
-    shared: Arc<Shared>,
+/// `run_guarded` lends it to the supervisor thread in between;
+/// `RtSoftTimers` keeps a backup lane alone in one until it ends.
+pub(crate) struct Lanes<P: Payload = PeriodicEvent> {
+    shared: Arc<Shared<P>>,
     work_ns: u64,
     pause_ns: u64,
     lanes: Vec<Lane>,
 }
 
-impl Lanes {
+impl<P: Payload> Lanes<P> {
     /// Starts generation 0 of every lane `config` has. `stalls[i]` are
     /// lane `i`'s chaos stall windows (absent = none).
     pub(crate) fn launch(
-        shared: &Arc<Shared>,
+        shared: &Arc<Shared<P>>,
         config: &HostConfig,
         mut stalls: Vec<Vec<(u64, u64)>>,
-    ) -> Lanes {
+    ) -> Self {
         let classes = lane_classes(config);
         stalls.resize(classes.len(), Vec::new());
         let now = shared.clock.now_ns();
@@ -617,12 +651,20 @@ impl Lanes {
         out.extend(self.lanes.iter().map(|l| l.hb.last()));
     }
 
-    /// Joins every thread of every generation. A lane thread that
-    /// panicked brings nothing home.
+    /// Stops the run, then wakes and joins every thread of every
+    /// generation but the calling one: a handler may end its runtime from
+    /// the lane it runs on, which then leaves on its own. A lane thread
+    /// that panicked, or the calling one, brings nothing home.
     pub(crate) fn join(self) -> Vec<(LaneClass, ThreadOut)> {
+        self.shared.stop.store(true, Ordering::Relaxed);
+        let me = std::thread::current().id();
         let mut outs = Vec::new();
         for lane in self.lanes {
             for handle in lane.handles {
+                handle.thread().unpark();
+                if handle.thread().id() == me {
+                    continue;
+                }
                 if let Ok(out) = handle.join() {
                     outs.push((lane.class, out));
                 }
@@ -642,7 +684,6 @@ pub fn run(config: &HostConfig) -> HostReport {
 
     let started = shared.clock.now_ns();
     std::thread::sleep(config.duration);
-    shared.stop.store(true, Ordering::Relaxed);
     let duration_ns = (shared.clock.now_ns() - started).max(1);
 
     finish_report(&shared, config.workers, duration_ns, lanes.join())
@@ -961,6 +1002,23 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_stop_wakes_the_backup_lane_and_it_sweeps_no_more() {
+        let started = std::time::Instant::now();
+        let report = run(&HostConfig {
+            workers: 0,
+            duration: Duration::from_millis(20),
+            idle_poller: false,
+            backup_period: Duration::from_secs(10),
+            timer_periods: vec![Duration::from_millis(1)],
+            ..quick_config()
+        });
+        assert!(started.elapsed() < Duration::from_secs(1));
+        // No sweep was due inside the run, so none ran and nothing fired.
+        let swept = (report.backup_sweep.checks, report.fired_backup.count);
+        assert_eq!(swept, (0, 0));
+    }
+
+    #[test]
     fn a_due_batch_costs_one_poll_and_one_rearm_pass() {
         use std::cell::{Cell, RefCell};
         const N: u64 = 64;
@@ -997,7 +1055,7 @@ pub(crate) mod tests {
             let (before, at) = last_two.get();
             assert!(ev.fired_at == at && before < ev.due && ev.due <= at);
             assert_eq!(ev.due % H, 0, "off the drift-free grid");
-            run_handler(&shared, ev, &mut acc);
+            PeriodicEvent::run(ev, &shared, &mut acc);
         };
         // (polls, sweeps, events armed / N) so far; nothing carried or lost.
         let totals = || {

@@ -14,16 +14,18 @@
 //!   deadline; both runtimes below are thin callers of it.
 //! - [`timers`] — [`RtSoftTimers`], the closure-handler runtime for real
 //!   programs: poll it from your event loop's trigger points, a backup
-//!   thread bounds the delay. The unsupervised face: [`guard`] does not
-//!   watch it.
+//!   lane of the host lane table bounds the delay. The unsupervised face:
+//!   [`guard`] does not watch it.
 //! - [`host`] — a worker-pool runtime whose task-return points act as
 //!   syscall-return shims, plus an idle thread that checks the moment
 //!   the earliest deadline passes (`idle_pause` at the latest) and a
-//!   backup-sweep thread; measures trigger-interval and fire-delay
-//!   distributions per source and the in-situ CPU share. One lane table
-//!   ([`lane_classes`] decides which lanes exist; launch, restart, join)
-//!   serves both [`host::run`], which spawns the lanes and nothing else,
-//!   and [`run_guarded`], which lends the table to a supervisor thread.
+//!   backup-sweep lane; measures trigger-interval and fire-delay
+//!   distributions per source and the in-situ CPU share. One lane table,
+//!   generic over its payload ([`lane_classes`] decides which lanes
+//!   exist; launch, restart, join), serves [`host::run`], which spawns
+//!   the lanes and nothing else, [`run_guarded`], which lends the table
+//!   to a supervisor thread, and [`RtSoftTimers`], whose table is its
+//!   backup lane alone.
 //! - [`probe`] — microbenchmarks fitting the machine's trigger-check /
 //!   dispatch / clock-read costs and sleep-vs-spin wake-up precision, the
 //!   inputs to `CostModel::calibrated_host` and `repro rt_calibration`.

@@ -34,7 +34,7 @@ use st_trace::json::ObjectBuilder;
 use crate::chaos::FaultClock;
 use crate::clock::{nanos, NanoClock};
 use crate::host::{
-    hist_json, run_handler, trigger_check, FireAccum, HostConfig, PeriodicEvent, Shared,
+    hist_json, trigger_check, FireAccum, HostConfig, Payload, PeriodicEvent, Shared,
     SUB_BUCKET_BITS,
 };
 
@@ -239,7 +239,7 @@ pub fn busy_round_cost(clock: &NanoClock) -> f64 {
     };
     let (mut rounds, mut best, mut opened) = (0, u64::MAX, clock.now_ns());
     let mut acc = FireAccum::new();
-    let handler = |ev: &mut _| run_handler(&shared, ev, &mut acc);
+    let handler = |ev: &mut _| PeriodicEvent::run(ev, &shared, &mut acc);
     core.fire_rounds(1, now_ns, &mut Vec::new(), handler, |_| {
         rounds += 1;
         if rounds % ROUNDS == 0 {
@@ -270,7 +270,7 @@ pub fn wake_fire_delay(samples: usize) -> f64 {
     let mut now = clock();
     for _ in 0..samples {
         let seen = core.wait_due(now, clock, |_| false);
-        let handler = |ev: &mut _| run_handler(&shared, ev, &mut acc);
+        let handler = |ev: &mut _| PeriodicEvent::run(ev, &shared, &mut acc);
         let closed = core.fire_rounds(seen, clock, &mut buf, handler, |_| true);
         now = closed.unwrap_or(seen);
     }

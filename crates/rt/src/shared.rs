@@ -28,8 +28,9 @@
 //! backup sweep, which is the delay bound, goes in beside a running batch.
 //! Two saturated lanes taking turns at the lock for every poll and every
 //! re-arm delivered less than one alone (6.5-9.3 M fires/s of the 10 M/s
-//! `host_saturated` offers; one lane carries that, and 17 M/s of 20 M/s)
-//! and split the work differently from one run to the next (DESIGN.md §15).
+//! `host_saturated` offers, against the ~10-11 M/s the lanes carry with
+//! one dispatching) and split the work differently from one run to the
+//! next (DESIGN.md §15).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -43,7 +44,7 @@ use st_trace::Category;
 
 use crate::clock::spin;
 
-const NANOS_PER_SEC: u64 = 1_000_000_000;
+pub(crate) const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// Process-wide count of poisoned-lock recoveries (see
 /// [`lock_recoveries`]).

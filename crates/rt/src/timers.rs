@@ -4,18 +4,18 @@
 //! works in any program with a hot loop: an event-driven server can call
 //! [`RtSoftTimers::run_pending`] once per loop iteration (its "trigger
 //! state") and get microsecond-class timers without a timerfd wakeup per
-//! event. A background thread plays the role of the periodic hardware
-//! interrupt, bounding event delay when the loop stalls.
+//! event. A backup lane plays the role of the periodic hardware interrupt,
+//! bounding event delay when the loop stalls.
 //!
-//! This is the closure-handler face of the shared core the measured
-//! [`crate::host`] lanes also run on: a `run_pending()` that finds nothing
-//! due is a clock read and a compare and takes no lock, however many
-//! threads poll one runtime. Ticks are wall-clock nanoseconds.
+//! This is the closure-handler face of the lane table and shared core the
+//! measured [`crate::host`] runtime runs on: a `run_pending()` that finds
+//! nothing due is a clock read and a compare and takes no lock, however
+//! many threads poll one runtime. Ticks are wall-clock nanoseconds.
 //!
 //! It is the **unsupervised** face: the trigger states are the caller's
-//! own threads, so `crate::guard` has no lane table to watch — nothing
-//! restarts a stalled backup thread or tightens its period. A program
-//! that needs supervision runs its work on `run_guarded`'s lanes.
+//! own threads, so `crate::guard` does not watch its table — nothing
+//! restarts a stalled backup lane or tightens its period. A program that
+//! needs supervision runs its work on `run_guarded`'s lanes.
 //!
 //! `examples/quickstart.rs` and the `soft_timers` crate docs show it in use.
 
@@ -23,13 +23,14 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use st_core::{Clock, FacilityStats, TimerHandle};
+use st_core::{Expired, FacilityStats, TimerHandle};
 
-use crate::clock::{nanos, NanoClock};
-use crate::shared::{lock_recover, Periodic, SharedCore};
+use crate::chaos::FaultClock;
+use crate::clock::nanos;
+use crate::host::{FireAccum, HostConfig, Lanes, Payload, Shared};
+use crate::shared::{lock_recover, Periodic, NANOS_PER_SEC};
 
 /// Real-time runtime configuration.
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +64,18 @@ impl Periodic for Task {
     }
 }
 
+/// The backup lane runs each fired task against the runtime, which it
+/// holds only weakly: a lane must never keep the runtime alive.
+impl Payload for Task {
+    type Ctx = Weak<RtSoftTimers>;
+    fn run(ev: &mut Expired<Task>, shared: &Shared<Task>, _: &mut FireAccum) {
+        // `None` mid-drop: whatever it re-arms is dropped with the core.
+        if let Some(rt) = shared.ctx.upgrade() {
+            rt.run_task(ev);
+        }
+    }
+}
+
 /// Cancelation handle for a periodic event from
 /// [`RtSoftTimers::schedule_every`].
 pub struct RtPeriodic {
@@ -80,68 +93,61 @@ impl RtPeriodic {
 ///
 /// Hardened against hostile callbacks: a handler that panics is caught
 /// (and counted — see [`RtSoftTimers::handler_panics`]) so it can neither
-/// kill the backup-interrupt thread nor poison the shared wheel. A panic
+/// kill the backup-interrupt lane nor poison the shared wheel. A panic
 /// costs the firing it happened in, not the timer: events scheduled
 /// afterwards fire normally and a periodic event stays on its grid.
 pub struct RtSoftTimers {
-    shared: SharedCore<Task>,
-    clock: NanoClock,
-    shutdown: AtomicBool,
-    backup: Mutex<Option<JoinHandle<()>>>,
+    shared: Arc<Shared<Task>>,
+    /// The backup lane, until [`RtSoftTimers::shutdown`] takes it.
+    lanes: Mutex<Option<Lanes<Task>>>,
 }
 
 impl RtSoftTimers {
-    /// Starts the runtime, spawning the backup-sweep thread.
+    /// Starts the runtime and its backup lane: a host lane table with no
+    /// workers and no idle lane.
     ///
-    /// The thread holds only a weak reference: it ends on
+    /// The lane holds the runtime only weakly: it ends on
     /// [`RtSoftTimers::shutdown`] or when the last `Arc` is dropped,
     /// whichever comes first.
     pub fn start(config: RtConfig) -> Arc<Self> {
-        let rt = Arc::new(RtSoftTimers {
-            shared: SharedCore::new(nanos(config.backup_period)),
-            clock: NanoClock::new(),
-            shutdown: AtomicBool::new(false),
-            backup: Mutex::new(None),
-        });
-        let weak = Arc::downgrade(&rt);
-        #[expect(
-            clippy::expect_used,
-            reason = "one-time startup; a host that cannot spawn the backup thread cannot run \
-                      the facility"
-        )]
-        let handle = std::thread::Builder::new()
-            .name("soft-timer-backup".into())
-            .spawn(move || backup_loop(&weak, config.backup_period))
-            .expect("failed to spawn backup thread");
-        *lock_recover(&rt.backup) = Some(handle);
-        rt
+        let host = HostConfig {
+            workers: 0,
+            idle_poller: false,
+            backup_period: config.backup_period,
+            ..HostConfig::default()
+        };
+        Arc::new_cyclic(|rt| {
+            let shared = Shared::new(&host, FaultClock::healthy(), rt.clone());
+            let lanes = Mutex::new(Some(Lanes::launch(&shared, &host, Vec::new())));
+            RtSoftTimers { shared, lanes }
+        })
     }
 
     /// Handlers that panicked and were caught (the runtime survives them).
     pub fn handler_panics(&self) -> u64 {
-        self.shared.lock().stats().handler_panics
+        self.shared.core.lock().stats().handler_panics
     }
 
     /// The paper's `measure_time()`: nanoseconds since the runtime started.
     pub fn measure_time(&self) -> u64 {
-        self.clock.now_ns()
+        self.shared.clock.now_ns()
     }
 
-    /// The paper's `measure_resolution()` (Hz).
+    /// The paper's `measure_resolution()` (Hz): ticks are nanoseconds.
     pub fn measure_resolution(&self) -> u64 {
-        self.clock.measure_resolution()
+        NANOS_PER_SEC
     }
 
     /// The paper's `interrupt_clock_resolution()` (Hz): the backup sweep
     /// frequency, i.e. the worst-case event delay bound.
     pub fn interrupt_clock_resolution(&self) -> u64 {
-        self.shared.lock().interrupt_clock_resolution()
+        self.shared.core.lock().interrupt_clock_resolution()
     }
 
     fn arm(&self, delay_ns: u64, period_ns: Option<u64>, run: Handler) -> TimerHandle {
-        let now = self.clock.now_ns();
+        let now = self.measure_time();
         let task = Task { period_ns, run };
-        self.shared.lock().schedule(now, delay_ns, task)
+        self.shared.core.lock().schedule(now, delay_ns, task)
     }
 
     /// The paper's `schedule_soft_event(T, handler)`: runs `handler` at
@@ -166,7 +172,7 @@ impl RtSoftTimers {
     pub fn cancel(&self, handle: TimerHandle) -> bool {
         // The payload outlives the statement that holds the lock: dropping
         // a handler may run caller code.
-        let removed = self.shared.lock().cancel(handle);
+        let removed = self.shared.core.lock().cancel(handle);
         removed.is_some()
     }
 
@@ -192,52 +198,46 @@ impl RtSoftTimers {
         RtPeriodic { cancelled }
     }
 
-    /// One check at the clock reading `seen_ns`, or one backup sweep
-    /// (`None`): every due handler runs on this thread with the core
-    /// unlocked, so handlers can schedule and cancel.
-    fn run_due(&self, seen_ns: Option<u64>) -> usize {
-        let mut due = Vec::new();
-        let now_ns = || self.clock.now_ns();
-        self.shared.fire_due(seen_ns, now_ns, &mut due, |ev| {
-            if !(ev.payload.run)(self) {
-                ev.payload.period_ns = None;
-            }
-        })
+    /// Runs a fired task's handler; a finished periodic is not re-armed.
+    fn run_task(&self, ev: &mut Expired<Task>) {
+        if !(ev.payload.run)(self) {
+            ev.payload.period_ns = None;
+        }
     }
 
     /// The trigger-state check: call this at the natural pause points of
     /// your program (event-loop top, after a batch of work, on I/O
-    /// readiness). Runs all due handlers; returns how many ran. With
-    /// nothing due it is a clock read and a compare and takes no lock;
-    /// while another call (another thread's, or the one a handler is
-    /// running in) is mid-batch it runs nothing and leaves the rest to it.
+    /// readiness). Runs all due handlers on this thread, core unlocked (so
+    /// they can schedule and cancel); returns how many ran. With nothing
+    /// due it is a clock read and a compare and takes no lock; while
+    /// another call (another thread's, or the one a handler is running in)
+    /// is mid-batch it runs nothing and leaves the rest to it.
     pub fn run_pending(&self) -> usize {
-        self.run_due(Some(self.clock.now_ns()))
+        let now_ns = || self.measure_time();
+        let run = |ev: &mut _| self.run_task(ev);
+        self.shared
+            .core
+            .fire_due(Some(now_ns()), now_ns, &mut Vec::new(), run)
     }
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.shared.lock().pending()
+        self.shared.core.lock().pending()
     }
 
     /// Snapshot of facility statistics (delays in nanoseconds).
     pub fn stats(&self) -> FacilityStats {
-        self.shared.lock().stats().clone()
+        self.shared.core.lock().stats().clone()
     }
 
-    /// Stops the backup thread. Pending events no longer have a delay
+    /// Stops the backup lane. Pending events no longer have a delay
     /// bound after shutdown (they still fire from `run_pending`).
-    /// Idempotent.
+    /// Idempotent, and callable from a handler on the lane itself.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        let handle = lock_recover(&self.backup).take();
-        if let Some(handle) = handle {
-            handle.thread().unpark();
-            // A handler may call this (or drop the last `Arc`) on the
-            // backup thread itself, which then ends on its own.
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
-            }
+        // Taken before the join: a handler may call this meanwhile.
+        let lanes = lock_recover(&self.lanes).take();
+        if let Some(lanes) = lanes {
+            lanes.join();
         }
     }
 }
@@ -248,25 +248,11 @@ impl Drop for RtSoftTimers {
     }
 }
 
-/// The backup "hardware interrupt": one sweep per `period`, for as long as
-/// the runtime is alive and not shut down.
-fn backup_loop(rt: &Weak<RtSoftTimers>, period: Duration) {
-    loop {
-        // Woken early only by `shutdown`'s unpark (or spuriously, which
-        // costs one early sweep).
-        std::thread::park_timeout(period);
-        let Some(rt) = rt.upgrade() else { return };
-        if rt.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        rt.run_due(None);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::saturations;
+    use crate::clock::{saturations, spin};
+    use crate::host::trigger_check;
     use std::sync::atomic::AtomicU32;
     use std::time::Instant;
 
@@ -350,7 +336,8 @@ mod tests {
             rt.schedule_in(10 * US, bump(&f));
             std::thread::sleep(MS);
             c.store(rt.run_pending() as u32, SEQ);
-            s.store(rt.run_due(None) as u32, SEQ);
+            let sweep = trigger_check(&rt.shared, None, &mut Vec::new(), &mut FireAccum::new());
+            s.store(sweep as u32, SEQ);
         });
         std::thread::sleep(MS);
         assert_eq!(rt.run_pending(), 1);
@@ -478,6 +465,42 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_wakes_the_backup_lane_instead_of_waiting_out_its_period() {
+        let rt = start(Duration::from_secs(10));
+        std::thread::sleep(10 * MS); // the lane is parked by now
+        let started = Instant::now();
+        rt.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_runtime_ended_from_its_own_backup_lane_ends_there_without_a_deadlock() {
+        // Never polled, so the backup lane runs the handler that ends the
+        // runtime: by `shutdown()`, or by dropping its only `Arc`.
+        for by_shutdown in [true, false] {
+            let rt = start(MS);
+            let (weak, shared) = (Arc::downgrade(&rt), Arc::downgrade(&rt.shared));
+            let (only, ended) = (Arc::clone(&rt), Arc::new(AtomicU32::new(0)));
+            let e = ended.clone();
+            rt.schedule_in(10 * US, move |rt| {
+                if by_shutdown {
+                    rt.shutdown();
+                }
+                drop(only);
+                e.store(1, SEQ);
+            });
+            drop(rt);
+            // Freed, and the lane, the last holder of its shared state, gone.
+            let done = || ended.load(SEQ) == 1 && weak.strong_count() + shared.strong_count() == 0;
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !done() && Instant::now() < deadline {
+                std::thread::sleep(MS);
+            }
+            assert!(done(), "by shutdown: {by_shutdown}");
+        }
+    }
+
+    #[test]
     fn saturated_duration_is_counted_not_silent() {
         let rt = start(100 * MS);
         let before = saturations();
@@ -574,7 +597,8 @@ mod tests {
         // That thread's hold of the core republished the earliest
         // deadline, so the lock-free check on this one sees the near event
         // as soon as the clock passes it; nothing else would fire it.
-        rt.clock.spin_until(rt.clock.now_ns() + nanos(200 * US) + 1);
+        let due = rt.measure_time() + nanos(200 * US) + 1;
+        spin(|| rt.measure_time(), |now| now >= due);
         assert_eq!(rt.run_pending(), 1);
         assert_eq!(fired.load(SEQ), 1);
         rt.shutdown();

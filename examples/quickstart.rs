@@ -2,7 +2,7 @@
 //!
 //! An event loop calls `run_pending()` once per iteration — its trigger
 //! state — and gets microsecond-class timers with no timerfd wakeups; a
-//! 1 ms backup thread bounds every event's delay, exactly as the paper's
+//! 1 ms backup lane bounds every event's delay, exactly as the paper's
 //! backup hardware interrupt does.
 //!
 //! ```text
