@@ -4,9 +4,9 @@
 //! timing wheels" (section 3, footnote 2), citing Varghese & Lauck. This
 //! crate implements that structure plus the reference it is tested against:
 //!
-//! - [`TimingWheel`] — eleven levels of 64 buckets covering every `u64`
-//!   tick (Varghese & Lauck scheme 7), an occupancy bitmap per level and
-//!   intrusive bucket lists: `O(1)` insert, `O(1)` cancel by unlinking,
+//! - [`TimingWheel`] — eight levels of 256 buckets covering every `u64`
+//!   tick (Varghese & Lauck scheme 7), a flat occupancy bitmap with one
+//!   summary word over it, and intrusive bucket lists: `O(1)` insert, `O(1)` cancel by unlinking,
 //!   find-first-set for the earliest deadline, and an expiry that visits
 //!   only the occupied buckets it crosses. The one production timer queue,
 //!   with two users: the facility's store (`st-core`, measurement-clock

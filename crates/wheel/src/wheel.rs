@@ -3,25 +3,33 @@
 use crate::slab::TimerSlab;
 use crate::{TimerHandle, TimerQueue};
 
-/// Wheel levels: level `k` files a deadline by bits `6k .. 6k + 6`, so
-/// eleven levels cover all 64 bits (the top level uses 16 of its slots).
-const LEVELS: usize = 11;
+/// Wheel levels: level `k` files a deadline by bits `8k .. 8k + 8`, so
+/// eight levels cover all 64 bits exactly.
+const LEVELS: usize = 8;
 /// Bits of a deadline one level consumes.
-const SLOT_BITS: u32 = 6;
+const SLOT_BITS: u32 = 8;
 /// Slots per level.
 const SLOTS: u16 = 1 << SLOT_BITS;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 /// Bucket rows: row 0 is the past-due list (only its slot 0 is used), row
-/// `k + 1` is wheel level `k`. A lower bucket number means earlier
-/// deadlines, so one find-first-set over rows and slots gives the
-/// earliest occupied bucket whichever kind it is.
+/// `k + 1` is wheel level `k`. Bucket `row * SLOTS + slot`: a lower number
+/// means earlier deadlines, so one find-first-set over the occupancy
+/// words gives the earliest occupied bucket whichever kind it is.
 const ROWS: usize = LEVELS + 1;
+const BUCKETS: usize = ROWS << SLOT_BITS;
+/// Occupancy words: bit `b % 64` of word `b / 64` is bucket `b`.
+const WORDS: usize = BUCKETS.div_ceil(64);
 /// Where a deadline at or before `now` parks until the next `advance`.
 const PAST_DUE: u16 = 0;
 /// First bucket of wheel level 1: below it a bucket holds one deadline.
 const LEVEL_1: u16 = 2 * SLOTS;
 /// End of a bucket list.
 const NIL: u32 = u32::MAX;
+
+// What the geometry must satisfy, checked when it is compiled.
+const _: () = assert!(BUCKETS <= 1 << 16, "every bucket number fits u16");
+const _: () = assert!(WORDS <= 64, "the summary word covers every word");
+const _: () = assert!(LEVELS * SLOT_BITS as usize >= 64, "the levels cover a u64");
 
 /// An entry's place in its bucket's doubly-linked list. `link` writes all
 /// of it before anything reads it, so the default is never seen.
@@ -40,23 +48,25 @@ struct Links {
 fn bucket_for(now: u64, deadline: u64) -> u16 {
     let level = (63 - ((now ^ deadline) | SLOT_MASK).leading_zeros()) / SLOT_BITS;
     let slot = (deadline >> (level * SLOT_BITS)) & SLOT_MASK;
-    // At most row 11, slot 63: always converts.
-    u16::try_from((u64::from(level) + 1) << SLOT_BITS | slot).unwrap_or(PAST_DUE)
+    let bucket = (u64::from(level) + 1) << SLOT_BITS | slot;
+    // Lossless: below `BUCKETS`, which fits `u16`.
+    bucket as u16
 }
 
 /// First and last tick of wheel bucket `bucket` while the wheel stands at
 /// `now`.
 fn span(now: u64, bucket: u16) -> (u64, u64) {
     let shift = u32::from(bucket / SLOTS - 1) * SLOT_BITS;
-    // The top level's digit reaches past bit 63: nothing above it to keep.
+    // The top level's digit ends at bit 63: nothing above it to keep.
     let above = u64::MAX.checked_shl(shift + SLOT_BITS).unwrap_or(0);
     let start = (now & above) | (u64::from(bucket % SLOTS) << shift);
     (start, start | ((1 << shift) - 1))
 }
 
-/// Hierarchical timing wheel: eleven levels of 64 buckets, a `u64`
-/// occupancy word per level and a `u16` word of non-empty levels, each
-/// bucket an intrusive doubly-linked list through the timer slab.
+/// Hierarchical timing wheel: eight levels of 256 buckets, one bit per
+/// bucket in a flat array of `u64` occupancy words and a `u64` summary of
+/// the non-empty words, each bucket an intrusive doubly-linked list
+/// through the timer slab.
 ///
 /// `schedule` and `cancel` are `O(1)` (a cancel unlinks its entry on the
 /// spot; nothing stale stays behind), `next_deadline` is two
@@ -73,7 +83,7 @@ fn span(now: u64, bucket: u16) -> (u64, u64) {
 ///
 /// let mut w = TimingWheel::new();
 /// w.schedule(10, 'a');
-/// w.schedule(10 + 4096, 'b'); // two levels up
+/// w.schedule(10 + 4096, 'b'); // a level up
 /// assert_eq!(w.next_deadline(), Some(10));
 /// let mut out = Vec::new();
 /// w.advance(20, &mut out);
@@ -86,14 +96,17 @@ fn span(now: u64, bucket: u16) -> (u64, u64) {
 pub struct TimingWheel<P> {
     slab: TimerSlab<P, Links>,
     /// Head of each bucket's list, `NIL` when empty.
-    heads: Box<[u32; ROWS << SLOT_BITS]>,
-    /// Per row, bit `s` set exactly when bucket `s` of the row is non-empty.
-    occupied: [u64; ROWS],
-    /// Bit `r` set exactly when `occupied[r]` is non-zero.
-    rows: u16,
+    heads: Box<[u32; BUCKETS]>,
+    /// Bit `b % 64` of word `b / 64` set exactly when bucket `b` is used.
+    occupied: [u64; WORDS],
+    /// Bit `w` set exactly when `occupied[w]` is non-zero.
+    summary: u64,
     now: u64,
     /// Reusable sweep buffer; keeps `advance` allocation-free once warm.
     sweep: Vec<(u64, u64, P)>,
+    /// Entries filed into a bucket so far, cascades included.
+    #[cfg(test)]
+    filed: u64,
 }
 
 impl<P> TimingWheel<P> {
@@ -101,22 +114,25 @@ impl<P> TimingWheel<P> {
     pub fn new() -> Self {
         TimingWheel {
             slab: TimerSlab::new(),
-            heads: Box::new([NIL; ROWS << SLOT_BITS]),
-            occupied: [0; ROWS],
-            rows: 0,
+            heads: Box::new([NIL; BUCKETS]),
+            occupied: [0; WORDS],
+            summary: 0,
             now: 0,
             sweep: Vec::new(),
+            #[cfg(test)]
+            filed: 0,
         }
     }
 
     /// The earliest occupied bucket, past-due list included.
     fn first_bucket(&self) -> Option<u16> {
-        // An empty wheel has no row 16.
-        let row = u16::try_from(self.rows.trailing_zeros()).ok()?;
-        let word = self.occupied.get(usize::from(row))?;
-        u16::try_from(word.trailing_zeros())
-            .ok()
-            .map(|slot| row * SLOTS + slot)
+        if self.summary == 0 {
+            return None;
+        }
+        let word = self.summary.trailing_zeros();
+        let bit = self.occupied[word as usize].trailing_zeros();
+        // Lossless: below `BUCKETS`, which fits `u16`.
+        Some((word * 64 + bit) as u16)
     }
 
     /// Pushes slab entry `index` onto the bucket `deadline` selects.
@@ -135,16 +151,22 @@ impl<P> TimingWheel<P> {
         if head != NIL {
             self.slab.links_mut(head).prev = index;
         }
-        self.occupied[usize::from(bucket / SLOTS)] |= 1 << (bucket % SLOTS);
-        self.rows |= 1 << (bucket / SLOTS);
+        let b = usize::from(bucket);
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.summary |= 1 << (b / 64);
+        #[cfg(test)]
+        {
+            self.filed += 1;
+        }
     }
 
     /// Records that `bucket`'s list has emptied.
     fn mark_empty(&mut self, bucket: u16) {
-        let word = &mut self.occupied[usize::from(bucket / SLOTS)];
-        *word &= !(1 << (bucket % SLOTS));
+        let b = usize::from(bucket);
+        let word = &mut self.occupied[b / 64];
+        *word &= !(1 << (b % 64));
         if *word == 0 {
-            self.rows &= !(1 << (bucket / SLOTS));
+            self.summary &= !(1 << (b / 64));
         }
     }
 
@@ -290,13 +312,14 @@ mod tests {
                     (prev, cursor) = (cursor, links.next);
                 }
             }
-            for (row, &word) in self.occupied.iter().enumerate() {
+            for (w, &word) in self.occupied.iter().enumerate() {
                 assert_eq!(
-                    self.rows >> row & 1 == 1,
+                    self.summary >> w & 1 == 1,
                     word != 0,
-                    "row {row} word and bit"
+                    "word {w} and its summary bit"
                 );
             }
+            assert_eq!(self.summary.checked_shr(WORDS as u32).unwrap_or(0), 0);
             assert_eq!(linked, self.len(), "linked entries and len()");
         }
     }
@@ -353,13 +376,14 @@ mod tests {
     #[test]
     fn structure_holds_under_a_seeded_op_stream() {
         let mut rng = SimRng::seed(0x13);
-        // Deltas up to 64^k ticks exercise levels 0..k; the last regime
-        // starts near the end of time.
+        // Deltas below level `k`'s first tick exercise levels 0..k; the
+        // last regime starts near the end of time.
+        let level = |k: u32| 1u64 << (SLOT_BITS * k);
         for (span, start) in [
-            (64, 0),
-            (4096, 0),
-            (262_144, 1000),
-            (1 << 36, 0),
+            (level(1), 0),
+            (level(2), 0),
+            (level(3), 1000),
+            (level(5), 0),
             (1 << 20, u64::MAX - (1 << 21)),
         ] {
             let mut pair = Pair::new();
@@ -389,8 +413,11 @@ mod tests {
 
     #[test]
     fn level_boundaries_match_heap() {
-        for k in 1..=10 {
-            let edge = 1u64 << (6 * k);
+        let top = LEVELS as u32 - 1;
+        // Every level's first tick, then the top level's last bucket (its
+        // digit all ones), so the top level is crossed end to end.
+        let edges = (1..=top).map(|k| 1u64 << (SLOT_BITS * k));
+        for edge in edges.chain([u64::MAX << (SLOT_BITS * top)]) {
             let deadlines = [edge - 1, edge, edge + 1, u64::MAX];
             let mut stops = vec![edge - 2, edge - 1, edge, edge + 1, edge + 2];
             stops.extend([u64::MAX - 1, u64::MAX]);
@@ -400,7 +427,7 @@ mod tests {
                 pair.schedule(d);
             }
             let fired: usize = stops.iter().map(|&t| pair.advance(t).len()).sum();
-            assert_eq!(fired, deadlines.len(), "level {k}");
+            assert_eq!(fired, deadlines.len(), "edge {edge:#x}");
             // ...and jump to each one straight from tick 0.
             for &stop in &stops {
                 let mut pair = Pair::new();
@@ -413,15 +440,67 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_is_filed_once_per_level_at_most() {
+        for delta in [1, 255, 256, 65_535, 65_536, 1 << 24, 1 << 40, u64::MAX] {
+            // Once on its level, once on each level below it.
+            let most = 1 + u64::from(delta.ilog2() / SLOT_BITS);
+            for step in [1, 20, 4095] {
+                let mut w = TimingWheel::new();
+                w.schedule(delta, ());
+                // The last 2^16 steps are walked; anything before them is
+                // one jump.
+                let mut now = delta.saturating_sub(step << 16);
+                let mut out = Vec::new();
+                while out.is_empty() {
+                    w.advance(now, &mut out);
+                    now = now.saturating_add(step).min(delta);
+                }
+                assert_eq!(out, vec![(delta, ())]);
+                assert!(w.filed <= most, "delta {delta} step {step}: {}", w.filed);
+            }
+        }
+    }
+
+    #[test]
+    fn rearm_pattern_files_a_timer_under_two_and_a_half_times_a_fire() {
+        // 16 384 pacer timers of period 32 768 at seeded phases, polled
+        // every 20 ticks, each fire re-armed one period after its
+        // deadline. Counted over two periods after one to warm up.
+        const PERIOD: u64 = 32_768;
+        let mut rng = SimRng::seed(0x35);
+        let mut w = TimingWheel::new();
+        for _ in 0..16_384 {
+            w.schedule(1 + rng.range_u64(0, PERIOD), ());
+        }
+        let (mut now, mut out, mut fires) = (0, Vec::new(), 0u64);
+        for end in [PERIOD, 3 * PERIOD] {
+            (w.filed, fires) = (0, 0);
+            while now < end {
+                now += 20;
+                w.advance(now, &mut out);
+                for (deadline, ()) in out.drain(..) {
+                    w.schedule(deadline + PERIOD, ());
+                    fires += 1;
+                }
+            }
+        }
+        assert!(fires.abs_diff(2 * 16_384) < 20, "{fires} fires");
+        let filed = w.filed;
+        assert!(2 * filed <= 5 * fires, "{filed} filings, {fires} fires");
+    }
+
+    #[test]
     fn cancel_unlinks_head_middle_tail_and_past_due() {
-        // Ticks 100..103 share level 1's second bucket; the list runs from
+        // Ticks 300..303 share level 1's second bucket; the list runs from
         // the last scheduled to the first.
         for victim in 0..3 {
             let mut pair = Pair::new();
-            let ids = [100, 101, 102].map(|d| pair.schedule(d));
+            let ids = [300, 301, 302].map(|d| pair.schedule(d));
+            let bucket = |i: usize| pair.wheel.slab.links(pair.handles[i].0.index).bucket;
+            assert!(ids.iter().all(|&i| bucket(i) == LEVEL_1 + 1));
             pair.cancel(ids[victim]);
             pair.cancel(ids[victim]); // a second cancel finds nothing
-            assert_eq!(pair.advance(200).len(), 2);
+            assert_eq!(pair.advance(600).len(), 2);
         }
         let mut pair = Pair::new();
         pair.advance(50);
@@ -432,7 +511,7 @@ mod tests {
         // The last entry out clears the bucket's bit.
         let only = pair.schedule(500);
         pair.cancel(only);
-        assert_eq!(pair.wheel.rows, 0);
+        assert_eq!(pair.wheel.summary, 0);
     }
 
     #[test]

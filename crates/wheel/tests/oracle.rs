@@ -33,7 +33,7 @@ enum Deadline {
 }
 
 /// How close to `u64::MAX` the end-of-time deadlines and opening jumps
-/// land: within a few level-1 buckets of it.
+/// land: inside the wheel's last level-2 bucket.
 const NEAR_END: u64 = 3 * 4096;
 
 /// How far ahead a case schedules and how far it jumps, in ticks.
@@ -43,13 +43,13 @@ struct Spans {
     advance: u64,
 }
 
-/// One regime per stretch of wheel levels (a level is 6 bits of the
-/// deadline, so level `k` begins at 64^k ticks out).
+/// One regime per stretch of wheel levels (a level is 8 bits of the
+/// deadline, so level `k` begins at 256^k ticks out).
 const SPANS: [Spans; 5] = [
-    // Level 0 alone: everything within one 64-tick turn.
+    // Level 0 alone: everything within one 256-tick turn.
     Spans {
-        schedule: 64,
-        advance: 24,
+        schedule: 256,
+        advance: 96,
     },
     // Levels 0-1, the facility at 1 µs ticks: events tens to thousands of
     // ticks out, polls that cross many level-0 buckets.
@@ -64,12 +64,12 @@ const SPANS: [Spans; 5] = [
         advance: 2000,
     },
     // What the host runtime feeds the wheel at 1 GHz ticks: ms-scale
-    // deltas (level 3) and jumps that swallow whole level-2 buckets.
+    // deltas (level 2) and jumps that swallow whole level-1 buckets.
     Spans {
         schedule: 2_000_000,
         advance: 1_000_000,
     },
-    // Levels 6 and up: at least 2^36 ticks out, jumps of up to 2^34.
+    // Levels 3 and 4: deltas below 2^40 ticks, jumps of up to 2^34.
     Spans {
         schedule: 1 << 40,
         advance: 1 << 34,
