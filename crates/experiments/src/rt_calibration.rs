@@ -13,15 +13,22 @@
 //!    [`CostModel::calibrated_host`] — the simulator's machine model,
 //!    expressed in this machine's numbers instead of the paper's 1999
 //!    hardware.
-//! 3. **Replay**: a deterministic simulation replays the *measured*
-//!    trigger-interval distributions (inverse-CDF sampling from the
-//!    recorded histograms under [`SimRng`]) against the same
-//!    `SoftTimerCore` and periodic-timer workload, predicting fire
-//!    delays, backup share and facility CPU cost from the fitted
-//!    constants alone. The gap between prediction and the host's in-situ
-//!    measurement is the reported calibration error per metric.
+//! 3. **Replay**: [`host::twin`] runs the host's own lanes — their waits
+//!    and checks, over the same `SoftTimerCore` and periodic workload — in
+//!    virtual time, each lane's stretches between checks resampled from
+//!    the intervals its class measured (inverse-CDF sampling from the
+//!    recorded histograms under [`SimRng`]). It predicts fire delays and
+//!    the backup share; its checks and fires at the fitted costs predict
+//!    the facility's CPU share. The gap between prediction and the host's
+//!    in-situ measurement is the reported calibration error per metric.
 //!
-//! The determinism split: the sim side is replayed **twice** and must be
+//! What models the machine stays here: the resampling, the rule that a
+//! stretch of up to twice the idle pause was spent on the core, the
+//! backup sweeps' phase and the event cap. What a lane does inside a
+//! stretch is the host's code, so a change to a lane reaches the replay
+//! without an edit here.
+//!
+//! The determinism split: the twin runs **twice** and its report must be
 //! byte-identical under the fixed seed (`sim_replay_identical` = 1);
 //! host-side numbers are real measurements and are only bounds-checked.
 //!
@@ -30,67 +37,27 @@
 use std::time::Duration;
 
 use st_kernel::CostModel;
-use st_rt::{host, probe, Calibration, HostConfig, HostReport};
+use st_rt::clock::nanos;
+use st_rt::host::{self, Stretch};
+use st_rt::{probe, Calibration, HostConfig, HostReport, LaneClass, SourceReport};
 use st_sim::SimRng;
 use st_stats::HdrHistogram;
 
 use crate::Scale;
 
-/// Histogram precision used on both sides (must match for fair replay).
-const BITS: u32 = 7;
+/// An interval distribution in replayable form: `(lower, upper,
+/// cumulative count)` per non-empty bucket of a measured [`HdrHistogram`].
+type Buckets = Vec<(u64, u64, u64)>;
 
-/// An interval distribution in replayable form: `(lower, upper, count)`
-/// buckets extracted from a measured [`HdrHistogram`].
-pub type Buckets = Vec<(u64, u64, u64)>;
-
-/// Everything the sim side needs — a pure value, so the replay is a
-/// deterministic function of `(inputs, seed)`.
-#[derive(Debug, Clone)]
-pub struct SimInputs {
-    /// Simulated duration (ns).
-    pub duration_ns: u64,
-    /// Worker streams replaying the task-return interval distribution.
-    pub workers: usize,
-    /// Measured task-return inter-check intervals (per worker thread).
-    pub task_intervals: Buckets,
-    /// Measured idle-poll intervals (`None` = no idle poller).
-    pub idle_intervals: Option<Buckets>,
-    /// Backup sweep period (ns).
-    pub backup_period_ns: u64,
-    /// Measured intervals between backup sweeps (the period plus what the
-    /// sleep overshot); empty = exactly the period.
-    pub backup_intervals: Buckets,
-    /// Periodic timer workload (ns periods).
-    pub timer_periods_ns: Vec<u64>,
-    /// Fitted cost of one empty check (ns).
-    pub check_ns: f64,
-    /// Fitted cost of one dispatch (ns).
-    pub dispatch_ns: f64,
-    /// The idle lane's pause (ns): the longest it waits between checks
-    /// with nothing due.
-    pub idle_pause_ns: u64,
-    /// Fitted delay of a fire the idle lane wakes for (ns): deadline to
-    /// `fired_at`, uncontended.
-    pub wake_ns: f64,
-}
-
-/// What the deterministic replay predicts.
-#[derive(Debug, Clone)]
-pub struct SimSide {
-    /// Trigger-state checks simulated.
-    pub checks: u64,
-    /// Events fired from trigger states.
-    pub fired_trigger: u64,
-    /// Events fired from backup sweeps.
-    pub fired_backup: u64,
-    /// Predicted fire-delay distribution (ns).
-    pub fire_delay: HdrHistogram,
-    /// Predicted backup share of fires.
-    pub backup_share: f64,
-    /// Predicted facility CPU fraction from the fitted constants.
-    pub facility_cpu_fraction: f64,
-    /// Canonical serialization: byte-compared across replays.
-    pub digest: String,
+/// `h` in replayable form.
+fn cumulative(h: &HdrHistogram) -> Buckets {
+    let mut total = 0;
+    h.buckets()
+        .map(|(lo, hi, count)| {
+            total += count;
+            (lo, hi, total)
+        })
+        .collect()
 }
 
 /// The full report.
@@ -102,8 +69,11 @@ pub struct RtCalibration {
     pub calibration: Calibration,
     /// The fitted cost model.
     pub model: CostModel,
-    /// Sim-side replay (first run; the second only checks the digest).
-    pub sim: SimSide,
+    /// The twin's replay (first run; the second only checks its bytes).
+    pub sim: HostReport,
+    /// Predicted facility CPU fraction: the twin's checks and fires at the
+    /// fitted costs.
+    pub sim_facility_cpu_fraction: f64,
     /// Whether two replays under the same seed were byte-identical.
     pub sim_replay_identical: bool,
     /// Relative error, sim vs host, fire-delay p50.
@@ -120,174 +90,98 @@ fn rel_err(sim: f64, host: f64) -> f64 {
     (sim - host).abs() / host.abs().max(1e-9)
 }
 
+/// The `p` quantile of `h` (0 when empty).
+fn q(h: &HdrHistogram, p: f64) -> f64 {
+    h.quantile(p).unwrap_or(0) as f64
+}
+
+/// Every fire's delay in a run, both origins merged (ns).
+fn fire_delays(report: &HostReport) -> HdrHistogram {
+    let mut merged = report.fired_trigger.delay_ns.clone();
+    merged.merge(&report.fired_backup.delay_ns);
+    merged
+}
+
+/// Trigger-state checks of a run: the workers' and the idle lane's.
+fn trigger_checks(report: &HostReport) -> u64 {
+    report.task_return.checks + report.idle_poll.as_ref().map_or(0, |s| s.checks)
+}
+
 /// Inverse-CDF sample from a measured bucket list: pick a bucket by
 /// count, then uniform within it. Returns `fallback` for an empty list.
 fn sample_interval(buckets: &Buckets, rng: &mut SimRng, fallback: u64) -> u64 {
-    let total: u64 = buckets.iter().map(|(_, _, c)| c).sum();
-    if total == 0 {
+    let Some(&(_, _, total)) = buckets.last() else {
         return fallback;
-    }
+    };
+    let r = rng.range_u64(0, total);
+    let bucket = buckets.partition_point(|&(_, _, upto)| upto <= r);
     // `range_u64` draws from `[lo, hi)`, which is what a bucket is: a
     // 1 ns bucket (any interval below 128 ns) is a range of one value.
-    let mut r = rng.range_u64(0, total);
-    for &(lo, hi, c) in buckets {
-        if r < c {
-            return rng.range_u64(lo, hi.max(lo + 1));
-        }
-        r -= c;
-    }
-    buckets.last().map_or(fallback, |&(lo, _, _)| lo)
+    buckets
+        .get(bucket)
+        .map_or(fallback, |&(lo, hi, _)| rng.range_u64(lo, hi.max(lo + 1)))
 }
 
-/// The simulated periodic event payload (mirrors the host runtime's).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SimEvent {
-    period_ns: u64,
+/// The measured intervals of the task-return, idle-poll and backup-sweep
+/// sources, in that order (an absent source measured none).
+fn measured_intervals(report: &HostReport) -> [Buckets; 3] {
+    let buckets = |s: &SourceReport| cumulative(&s.intervals);
+    [
+        buckets(&report.task_return),
+        report.idle_poll.as_ref().map(buckets).unwrap_or_default(),
+        buckets(&report.backup_sweep),
+    ]
 }
 
-/// The deterministic replay: a three-source discrete-event loop over the
-/// same `SoftTimerCore`, ticking in nanoseconds. Pure in `(inputs, seed)`
-/// — no wall clock, no iteration-order dependence (ties between sources
-/// break in fixed priority order).
-pub fn sim_side(inputs: &SimInputs, seed: u64) -> SimSide {
-    use st_core::{Config, Expired, FireOrigin, SoftTimerCore};
-
+/// The twin of a run of `config` that measured `intervals`, for
+/// `duration_ns` under `seed`: each lane's stretches resampled from its
+/// class's intervals (a class that measured none never checks).
+fn replay(
+    config: &HostConfig,
+    [task, idle, backup]: &[Buckets; 3],
+    duration_ns: u64,
+    wake_ns: u64,
+    seed: u64,
+) -> HostReport {
     let mut rng = SimRng::seed(seed ^ 0x057C_411B_8A7E);
-    let mut core: SoftTimerCore<SimEvent> = SoftTimerCore::new(Config {
-        measure_hz: 1_000_000_000,
-        interrupt_hz: (1_000_000_000 / inputs.backup_period_ns.max(1)).max(1),
-    });
-    for &period_ns in &inputs.timer_periods_ns {
-        let p = period_ns.max(1);
-        core.schedule(0, p - 1, SimEvent { period_ns: p });
-    }
-
-    // Next check time per stream; stream 0..workers are task-return
-    // workers, then optionally the idle poller. Backup is separate.
-    let far = inputs.duration_ns.saturating_add(1);
-    let mut streams: Vec<(u64, bool)> = Vec::new(); // (next_ns, is_idle)
-    for i in 0..inputs.workers.max(1) {
-        let first = sample_interval(&inputs.task_intervals, &mut rng, far).saturating_add(i as u64); // desynchronize worker phases
-        streams.push((first, false));
-    }
-    // The host's idle lane waits on the deadline word, not for its pause
-    // to run out: a resampled interval the lane could have chosen (up to
-    // twice its pause: the pause, the check, a short interrupt) is a wait,
-    // and ends `wake_ns` after the earliest armed deadline if that comes
-    // first. A longer one was measured across a stretch off the core (three
-    // lanes spin on however many cores there are) and nothing cuts it short:
-    // what comes due meanwhile is the task returns' or the backup's.
-    let wake_ns = inputs.wake_ns.round() as u64;
-    let is_wait = |step: u64| step <= inputs.idle_pause_ns.saturating_mul(2);
-    let mut idle_waits = false;
-    if let Some(idle) = &inputs.idle_intervals {
-        let first = sample_interval(idle, &mut rng, far);
-        idle_waits = is_wait(first);
-        streams.push((first, true));
-    }
+    let far = duration_ns.saturating_add(1);
+    let period = nanos(config.backup_period).max(1);
     // The backup sweeps start half a period out of phase and replay their
     // measured intervals: the host backup thread sleeps and always
     // overshoots, so its sweeps drift against the timer deadlines. On the
     // bare period they stay phase-locked with every timer that divides half
     // of it and win each tie — an artifact, not a prediction.
-    let period_b = inputs.backup_period_ns.max(1);
-    let mut next_backup =
-        period_b / 2 + sample_interval(&inputs.backup_intervals, &mut rng, period_b);
+    let mut phase = period / 2;
+    host::twin(config, duration_ns, wake_ns, |class| {
+        let ns = match class {
+            LaneClass::Worker => sample_interval(task, &mut rng, far),
+            LaneClass::IdlePoll => sample_interval(idle, &mut rng, far),
+            LaneClass::Backup => {
+                std::mem::take(&mut phase) + sample_interval(backup, &mut rng, period)
+            }
+        };
+        // A stretch the idle lane could have chosen (up to twice its pause:
+        // the pause, the check, a short interrupt) was spent on the core. A
+        // longer one was measured across a stretch off it (three lanes spin
+        // on however many cores there are), and no deadline cuts it short.
+        let on_core = Duration::from_nanos(ns) <= config.idle_pause.saturating_mul(2);
+        Stretch { ns, on_core }
+    })
+}
 
-    let mut fire_delay = HdrHistogram::new(BITS);
-    let mut checks = 0u64;
-    let mut fired_trigger = 0u64;
-    let mut fired_backup = 0u64;
-    let mut buf: Vec<Expired<SimEvent>> = Vec::new();
-    loop {
-        // Earliest of backup and all check streams; ties break to the
-        // backup first, then lowest stream index — a fixed total order.
-        let mut t = next_backup;
-        let mut who: isize = -1;
-        let due = core.earliest_deadline().unwrap_or(u64::MAX);
-        for (i, &(sampled, is_idle)) in streams.iter().enumerate() {
-            let next = if is_idle && idle_waits {
-                sampled.min(due.saturating_add(wake_ns))
-            } else {
-                sampled
-            };
-            if next < t {
-                t = next;
-                who = i as isize;
-            }
-        }
-        if t > inputs.duration_ns {
-            break;
-        }
-        buf.clear();
-        if who < 0 {
-            core.interrupt_sweep(t, &mut buf);
-            let step = sample_interval(&inputs.backup_intervals, &mut rng, period_b).max(1);
-            next_backup = t.saturating_add(step);
-        } else {
-            core.poll(t, &mut buf);
-            checks += 1;
-            let (_, is_idle) = streams[who as usize];
-            let dist = if is_idle {
-                inputs.idle_intervals.as_ref().unwrap()
-            } else {
-                &inputs.task_intervals
-            };
-            let step = sample_interval(dist, &mut rng, far).max(1);
-            streams[who as usize].0 = t.saturating_add(step);
-            if is_idle {
-                idle_waits = is_wait(step);
-            }
-        }
-        for ev in buf.drain(..) {
-            match ev.origin {
-                FireOrigin::TriggerState => fired_trigger += 1,
-                FireOrigin::BackupInterrupt => fired_backup += 1,
-            }
-            fire_delay.record(ev.delay());
-            // Drift-free rearm, same arithmetic as the host dispatcher.
-            let period = ev.payload.period_ns.max(1);
-            let mut next = ev.due.saturating_add(period);
-            if next <= ev.fired_at {
-                let behind = ev.fired_at - next;
-                next += (behind / period + 1) * period;
-            }
-            core.schedule(ev.fired_at, next - ev.fired_at - 1, ev.payload);
-        }
-    }
-
-    let fired = fired_trigger + fired_backup;
-    let backup_share = if fired > 0 {
-        fired_backup as f64 / fired as f64
-    } else {
-        0.0
-    };
-    // Predicted facility CPU share purely from the fitted constants: the
-    // check streams' owner threads are busy for the whole duration.
-    let busy_threads = inputs.workers.max(1) + usize::from(inputs.idle_intervals.is_some());
-    let facility_ns = checks as f64 * inputs.check_ns + fired as f64 * inputs.dispatch_ns;
-    let facility_cpu_fraction =
-        facility_ns / (busy_threads as f64 * inputs.duration_ns.max(1) as f64);
-
-    let q = |p: f64| fire_delay.quantile(p).unwrap_or(0);
-    let mut digest = format!(
-        "checks={checks} ft={fired_trigger} fb={fired_backup} \
-         p50={} p99={} share={backup_share:.9} cpu={facility_cpu_fraction:.12}",
-        q(0.5),
-        q(0.99)
-    );
-    for (lo, hi, c) in fire_delay.buckets() {
-        digest.push_str(&format!(";{lo}-{hi}:{c}"));
-    }
-    SimSide {
-        checks,
-        fired_trigger,
-        fired_backup,
-        fire_delay,
-        backup_share,
-        facility_cpu_fraction,
-        digest,
-    }
+/// The facility CPU fraction a twin run predicts from the fitted costs:
+/// its trigger checks at `check_ns` and its fires at `dispatch_ns`, over
+/// the whole run of every worker and idle lane.
+fn predicted_cpu_fraction(
+    config: &HostConfig,
+    sim: &HostReport,
+    check_ns: f64,
+    dispatch_ns: f64,
+) -> f64 {
+    let fires = sim.fired_trigger.count + sim.fired_backup.count;
+    let facility_ns = trigger_checks(sim) as f64 * check_ns + fires as f64 * dispatch_ns;
+    let busy_lanes = config.workers.max(1) + usize::from(config.idle_poller);
+    facility_ns / (busy_lanes as f64 * sim.duration_ns as f64)
 }
 
 /// Wall-clock budget for the host-side phases, honouring the
@@ -348,51 +242,33 @@ pub fn run(scale: Scale, seed: u64) -> RtCalibration {
     let sim_duration_ns = (report.duration_ns as f64)
         .min(cap_events as f64 / total_density * 1e9)
         .round() as u64;
-    let inputs = SimInputs {
-        duration_ns: sim_duration_ns.max(1),
-        workers: report.workers,
-        task_intervals: report.task_return.intervals.buckets().collect(),
-        idle_intervals: report
-            .idle_poll
-            .as_ref()
-            .map(|s| s.intervals.buckets().collect()),
-        backup_period_ns: u64::try_from(config.backup_period.as_nanos())
-            .unwrap_or(u64::MAX)
-            .max(1),
-        backup_intervals: report.backup_sweep.intervals.buckets().collect(),
-        timer_periods_ns: config
-            .timer_periods
-            .iter()
-            .map(|p| u64::try_from(p.as_nanos()).unwrap_or(u64::MAX).max(1))
-            .collect(),
-        check_ns: calibration.trigger_check_ns,
-        dispatch_ns: calibration.fire_dispatch_ns,
-        idle_pause_ns: u64::try_from(config.idle_pause.as_nanos()).unwrap_or(u64::MAX),
-        wake_ns: calibration.wake_fire_ns,
-    };
-    let sim = sim_side(&inputs, seed);
-    let replay = sim_side(&inputs, seed);
-    let sim_replay_identical = sim.digest == replay.digest;
+    let intervals = measured_intervals(&report);
+    let wake_ns = calibration.wake_fire_ns.round() as u64;
+    let twin = || replay(&config, &intervals, sim_duration_ns.max(1), wake_ns, seed);
+    let sim = twin();
+    let sim_replay_identical = sim.to_json() == twin().to_json();
     assert!(
         sim_replay_identical,
         "sim replay diverged under fixed seed {seed}"
     );
 
-    let host_q = |p: f64| {
-        let mut merged = report.fired_trigger.delay_ns.clone();
-        merged.merge(&report.fired_backup.delay_ns);
-        merged.quantile(p).unwrap_or(0) as f64
-    };
-    let sim_q = |p: f64| sim.fire_delay.quantile(p).unwrap_or(0) as f64;
+    let (host_delay, sim_delay) = (fire_delays(&report), fire_delays(&sim));
+    let sim_facility_cpu_fraction = predicted_cpu_fraction(
+        &config,
+        &sim,
+        calibration.trigger_check_ns,
+        calibration.fire_dispatch_ns,
+    );
     RtCalibration {
-        err_fire_delay_p50: rel_err(sim_q(0.5), host_q(0.5)),
-        err_fire_delay_p99: rel_err(sim_q(0.99), host_q(0.99)),
+        err_fire_delay_p50: rel_err(q(&sim_delay, 0.5), q(&host_delay, 0.5)),
+        err_fire_delay_p99: rel_err(q(&sim_delay, 0.99), q(&host_delay, 0.99)),
         err_backup_share: (sim.backup_share - report.backup_share).abs(),
-        err_facility_cpu_fraction: rel_err(sim.facility_cpu_fraction, report.facility_cpu_fraction),
+        err_facility_cpu_fraction: rel_err(sim_facility_cpu_fraction, report.facility_cpu_fraction),
         host: report,
         calibration,
         model,
         sim,
+        sim_facility_cpu_fraction,
         sim_replay_identical,
     }
 }
@@ -463,8 +339,8 @@ impl RtCalibration {
         ));
         out.push_str(&format!(
             "sim replay: {} checks, {} fires, byte-identical under seed: {}\n",
-            self.sim.checks,
-            self.sim.fired_trigger + self.sim.fired_backup,
+            trigger_checks(&self.sim),
+            self.sim.handler_runs,
             if self.sim_replay_identical {
                 "yes"
             } else {
@@ -472,20 +348,16 @@ impl RtCalibration {
             },
         ));
         out.push_str("metric                  |       sim |      host | error\n");
-        let host_delay = {
-            let mut merged = self.host.fired_trigger.delay_ns.clone();
-            merged.merge(&self.host.fired_backup.delay_ns);
-            merged
-        };
+        let (sim_delay, host_delay) = (fire_delays(&self.sim), fire_delays(&self.host));
         out.push_str(&format!(
             "fire delay p50 (ns)     | {:>9} | {:>9} | {:.3}\n",
-            self.sim.fire_delay.quantile(0.5).unwrap_or(0),
+            sim_delay.quantile(0.5).unwrap_or(0),
             host_delay.quantile(0.5).unwrap_or(0),
             self.err_fire_delay_p50,
         ));
         out.push_str(&format!(
             "fire delay p99 (ns)     | {:>9} | {:>9} | {:.3}\n",
-            self.sim.fire_delay.quantile(0.99).unwrap_or(0),
+            sim_delay.quantile(0.99).unwrap_or(0),
             host_delay.quantile(0.99).unwrap_or(0),
             self.err_fire_delay_p99,
         ));
@@ -495,7 +367,7 @@ impl RtCalibration {
         ));
         out.push_str(&format!(
             "facility CPU fraction   | {:>9.5} | {:>9.5} | {:.3}\n",
-            self.sim.facility_cpu_fraction,
+            self.sim_facility_cpu_fraction,
             self.host.facility_cpu_fraction,
             self.err_facility_cpu_fraction,
         ));
@@ -504,134 +376,71 @@ impl RtCalibration {
 
     /// Flat `(name, value)` metric pairs for `repro --json`.
     pub fn key_metrics(&self) -> Vec<(String, f64)> {
+        let (host, sim, cal) = (&self.host, &self.sim, &self.calibration);
         let mut m: Vec<(String, f64)> = Vec::new();
-        let mut source = |s: &st_rt::SourceReport| {
+        for s in [
+            Some(&host.task_return),
+            host.idle_poll.as_ref(),
+            Some(&host.backup_sweep),
+        ]
+        .into_iter()
+        .flatten()
+        {
             let n = s.source.name();
             m.push((format!("host_{n}_density_hz"), s.density_hz));
-            m.push((
-                format!("host_{n}_interval_p50_ns"),
-                s.intervals.quantile(0.5).unwrap_or(0) as f64,
-            ));
-            m.push((
-                format!("host_{n}_interval_p99_ns"),
-                s.intervals.quantile(0.99).unwrap_or(0) as f64,
-            ));
+            m.push((format!("host_{n}_interval_p50_ns"), q(&s.intervals, 0.5)));
+            m.push((format!("host_{n}_interval_p99_ns"), q(&s.intervals, 0.99)));
             m.push((
                 format!("host_{n}_fire_delay_p50_ns"),
-                s.fire_delay_ns.quantile(0.5).unwrap_or(0) as f64,
+                q(&s.fire_delay_ns, 0.5),
             ));
-        };
-        source(&self.host.task_return);
-        if let Some(idle) = &self.host.idle_poll {
-            source(idle);
         }
-        source(&self.host.backup_sweep);
-        let host_delay = {
-            let mut merged = self.host.fired_trigger.delay_ns.clone();
-            merged.merge(&self.host.fired_backup.delay_ns);
-            merged
-        };
-        m.extend([
+        let (sim_delay, host_delay) = (fire_delays(sim), fire_delays(host));
+        let flat = [
+            ("host_fired_trigger", host.fired_trigger.count as f64),
+            ("host_fired_backup", host.fired_backup.count as f64),
+            ("host_fire_delay_p50_ns", q(&host_delay, 0.5)),
+            ("host_fire_delay_p99_ns", q(&host_delay, 0.99)),
+            ("host_backup_share", host.backup_share),
+            ("host_facility_cpu_fraction", host.facility_cpu_fraction),
             (
-                "host_fired_trigger".to_string(),
-                self.host.fired_trigger.count as f64,
+                "host_facility_cpu_fraction_raw",
+                host.facility_cpu_fraction_raw,
             ),
+            ("host_check_cost_p50_ns", q(&host.check_cost, 0.5)),
+            ("host_sleep_slack_p50_ns", q(&cal.sleep_slack_ns, 0.5)),
+            ("host_spin_slack_p50_ns", q(&cal.spin_slack_ns, 0.5)),
+            ("probe_retries", cal.probe_retries as f64),
+            ("fitted_trigger_check_ns", cal.trigger_check_ns),
+            ("fitted_fire_dispatch_ns", cal.fire_dispatch_ns),
+            ("fitted_clock_read_ns", cal.clock_read_ns),
+            ("fitted_wake_fire_ns", cal.wake_fire_ns),
+            ("fitted_max_idle_density_hz", cal.max_idle_density_hz),
             (
-                "host_fired_backup".to_string(),
-                self.host.fired_backup.count as f64,
-            ),
-            (
-                "host_fire_delay_p50_ns".to_string(),
-                host_delay.quantile(0.5).unwrap_or(0) as f64,
-            ),
-            (
-                "host_fire_delay_p99_ns".to_string(),
-                host_delay.quantile(0.99).unwrap_or(0) as f64,
-            ),
-            ("host_backup_share".to_string(), self.host.backup_share),
-            (
-                "host_facility_cpu_fraction".to_string(),
-                self.host.facility_cpu_fraction,
-            ),
-            (
-                "host_facility_cpu_fraction_raw".to_string(),
-                self.host.facility_cpu_fraction_raw,
-            ),
-            (
-                "host_check_cost_p50_ns".to_string(),
-                self.host.check_cost.quantile(0.5).unwrap_or(0) as f64,
-            ),
-            (
-                "host_sleep_slack_p50_ns".to_string(),
-                self.calibration.sleep_slack_ns.quantile(0.5).unwrap_or(0) as f64,
-            ),
-            (
-                "host_spin_slack_p50_ns".to_string(),
-                self.calibration.spin_slack_ns.quantile(0.5).unwrap_or(0) as f64,
-            ),
-            (
-                "probe_retries".to_string(),
-                self.calibration.probe_retries as f64,
-            ),
-            (
-                "fitted_trigger_check_ns".to_string(),
-                self.calibration.trigger_check_ns,
-            ),
-            (
-                "fitted_fire_dispatch_ns".to_string(),
-                self.calibration.fire_dispatch_ns,
-            ),
-            (
-                "fitted_clock_read_ns".to_string(),
-                self.calibration.clock_read_ns,
-            ),
-            (
-                "fitted_wake_fire_ns".to_string(),
-                self.calibration.wake_fire_ns,
-            ),
-            (
-                "fitted_max_idle_density_hz".to_string(),
-                self.calibration.max_idle_density_hz,
-            ),
-            (
-                "model_prof_sample_ns".to_string(),
+                "model_prof_sample_ns",
                 self.model.prof_sample.as_nanos() as f64,
             ),
             (
-                "model_scope_sample_ns".to_string(),
+                "model_scope_sample_ns",
                 self.model.scope_sample.as_nanos() as f64,
             ),
-            ("sim_checks".to_string(), self.sim.checks as f64),
+            ("sim_checks", trigger_checks(sim) as f64),
+            ("sim_fired_trigger", sim.fired_trigger.count as f64),
+            ("sim_fired_backup", sim.fired_backup.count as f64),
+            ("sim_fire_delay_p50_ns", q(&sim_delay, 0.5)),
+            ("sim_fire_delay_p99_ns", q(&sim_delay, 0.99)),
+            ("sim_backup_share", sim.backup_share),
+            ("sim_facility_cpu_fraction", self.sim_facility_cpu_fraction),
             (
-                "sim_fired_trigger".to_string(),
-                self.sim.fired_trigger as f64,
-            ),
-            ("sim_fired_backup".to_string(), self.sim.fired_backup as f64),
-            (
-                "sim_fire_delay_p50_ns".to_string(),
-                self.sim.fire_delay.quantile(0.5).unwrap_or(0) as f64,
-            ),
-            (
-                "sim_fire_delay_p99_ns".to_string(),
-                self.sim.fire_delay.quantile(0.99).unwrap_or(0) as f64,
-            ),
-            ("sim_backup_share".to_string(), self.sim.backup_share),
-            (
-                "sim_facility_cpu_fraction".to_string(),
-                self.sim.facility_cpu_fraction,
-            ),
-            (
-                "sim_replay_identical".to_string(),
+                "sim_replay_identical",
                 f64::from(u8::from(self.sim_replay_identical)),
             ),
-            ("err_fire_delay_p50".to_string(), self.err_fire_delay_p50),
-            ("err_fire_delay_p99".to_string(), self.err_fire_delay_p99),
-            ("err_backup_share".to_string(), self.err_backup_share),
-            (
-                "err_facility_cpu_fraction".to_string(),
-                self.err_facility_cpu_fraction,
-            ),
-        ]);
+            ("err_fire_delay_p50", self.err_fire_delay_p50),
+            ("err_fire_delay_p99", self.err_fire_delay_p99),
+            ("err_backup_share", self.err_backup_share),
+            ("err_facility_cpu_fraction", self.err_facility_cpu_fraction),
+        ];
+        m.extend(flat.map(|(key, value)| (key.to_string(), value)));
         m
     }
 }
@@ -640,88 +449,49 @@ impl RtCalibration {
 mod tests {
     use super::*;
 
-    fn synthetic_inputs() -> SimInputs {
-        // A fixed, machine-independent input set: ~30 µs task intervals,
-        // ~2 µs idle polls, 1 ms backups, two periodic timers.
-        let mut task = HdrHistogram::new(BITS);
-        let mut idle = HdrHistogram::new(BITS);
+    /// The twin of a fixed, machine-independent measurement: ~30 µs task
+    /// intervals, ~2 µs idle polls on a 2 µs pause, 1 ms backups and two
+    /// periodic timers, for 50 ms.
+    fn synthetic(seed: u64) -> (HostConfig, HostReport) {
+        let mut task = HdrHistogram::new(7);
+        let mut idle = HdrHistogram::new(7);
         for i in 0..1000u64 {
             task.record(25_000 + (i % 17) * 1_000);
             idle.record(1_500 + (i % 7) * 300);
         }
-        SimInputs {
-            duration_ns: 50_000_000,
-            workers: 2,
-            task_intervals: task.buckets().collect(),
-            idle_intervals: Some(idle.buckets().collect()),
-            backup_period_ns: 1_000_000,
-            backup_intervals: Vec::new(),
-            timer_periods_ns: vec![200_000, 1_000_000],
-            check_ns: 45.0,
-            dispatch_ns: 400.0,
-            idle_pause_ns: 2_000,
-            wake_ns: 90.0,
-        }
+        let config = HostConfig {
+            idle_pause: Duration::from_micros(2),
+            timer_periods: vec![Duration::from_micros(200), Duration::from_millis(1)],
+            ..HostConfig::default()
+        };
+        let intervals = [cumulative(&task), cumulative(&idle), Vec::new()];
+        let sim = replay(&config, &intervals, 50_000_000, 90, seed);
+        (config, sim)
     }
 
     #[test]
-    fn sim_side_is_byte_identical_under_fixed_seed() {
-        let inputs = synthetic_inputs();
-        let a = sim_side(&inputs, 42);
-        let b = sim_side(&inputs, 42);
-        assert_eq!(a.digest, b.digest, "replay diverged");
-        assert_eq!(a.checks, b.checks);
-        assert_eq!(a.fired_trigger, b.fired_trigger);
-        assert_eq!(a.fired_backup, b.fired_backup);
-        // A different seed samples different intervals — the digest is a
+    fn the_twin_is_byte_identical_under_fixed_seed() {
+        let a = synthetic(42).1.to_json();
+        assert_eq!(a, synthetic(42).1.to_json(), "replay diverged");
+        // A different seed samples different intervals — the report is a
         // real function of the randomness, not a constant.
-        let c = sim_side(&inputs, 43);
-        assert_ne!(a.digest, c.digest, "digest ignores the seed");
+        assert_ne!(a, synthetic(43).1.to_json(), "the twin ignores the seed");
     }
 
     #[test]
-    fn sim_side_predictions_are_physical() {
-        let inputs = synthetic_inputs();
-        let s = sim_side(&inputs, 7);
+    fn the_twin_predictions_are_physical() {
+        let (config, s) = synthetic(7);
         // 50 ms of 200 µs + 1 ms timers ≈ 250 + 50 firings.
-        let fired = s.fired_trigger + s.fired_backup;
+        let fired = s.fired_trigger.count + s.fired_backup.count;
         assert!((200..=400).contains(&fired), "{fired} fires");
         // µs-dense idle polls catch nearly everything before the 1 ms
         // backup sweep does.
         assert!(s.backup_share < 0.2, "backup share {}", s.backup_share);
         // Fire delays are bounded by the backup period + one interval.
-        let p99 = s.fire_delay.quantile(0.99).unwrap_or(0);
+        let p99 = fire_delays(&s).quantile(0.99).unwrap_or(0);
         assert!(p99 < 2_100_000, "p99 delay {p99} ns");
-        assert!(s.facility_cpu_fraction > 0.0 && s.facility_cpu_fraction < 0.5);
-    }
-
-    #[test]
-    fn the_idle_stream_checks_at_the_deadline_as_the_host_lane_does() {
-        // 2 µs idle intervals resampled blind fire ~1 µs late in the
-        // median; waiting on the deadline, one wake-up late.
-        let mut idle = HdrHistogram::new(BITS);
-        idle.record_n(2_000, 1_000);
-        let inputs = SimInputs {
-            workers: 1,
-            task_intervals: Vec::new(),
-            idle_intervals: Some(idle.buckets().collect()),
-            timer_periods_ns: vec![1_000_000],
-            ..synthetic_inputs()
-        };
-        let p50 = |s: &SimSide| s.fire_delay.quantile(0.5).unwrap() as f64;
-        let s = sim_side(&inputs, 11);
-        assert_eq!((s.fired_trigger, s.fired_backup), (49, 0));
-        assert!(p50(&s) <= inputs.wake_ns, "p50 delay {} ns", p50(&s));
-        assert_eq!(s.digest, sim_side(&inputs, 11).digest);
-        // Measured by a lane that pauses 500 ns, the same 2 µs gaps were
-        // stretches off its core: no deadline cuts those short.
-        let off_core = SimInputs {
-            idle_pause_ns: 500,
-            ..inputs
-        };
-        let s = sim_side(&off_core, 11);
-        assert_eq!((s.fired_trigger, s.fired_backup), (49, 0));
-        assert!(p50(&s) > 500.0, "p50 delay {} ns", p50(&s));
+        let cpu = predicted_cpu_fraction(&config, &s, 45.0, 400.0);
+        assert!(cpu > 0.0 && cpu < 0.5, "{cpu}");
     }
 
     #[test]

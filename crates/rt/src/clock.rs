@@ -27,7 +27,7 @@ pub fn saturations() -> u64 {
 /// A `Duration` as nanosecond ticks, pinning at `u64::MAX` on overflow —
 /// audibly: each clamp is counted (see [`saturations`]) and traced as
 /// `rt.time_saturations` when a session is active on the calling thread.
-pub(crate) fn nanos(d: Duration) -> u64 {
+pub fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or_else(|_| {
         SATURATIONS.fetch_add(1, Ordering::Relaxed);
         st_trace::count("rt.time_saturations", 1);

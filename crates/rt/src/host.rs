@@ -26,6 +26,9 @@
 //! the batch before, poll the next: two per batch for a worker or a sweep,
 //! one per batch for the idle lane while batches keep coming — each handler
 //! in between a procedure call on lane-local state.
+//!
+//! [`twin`] runs the same lanes, their waits and checks, on one thread in
+//! virtual time: `repro rt_calibration`'s prediction of a run.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -222,19 +225,22 @@ impl Shared {
     ) -> Arc<Shared> {
         let shared = Shared::new(config, clock, chaos);
         // Arm the periodic workload before any thread starts measuring.
-        {
-            let mut core = shared.core.lock();
-            let now = shared.clock.now_ns();
-            for period in &config.timer_periods {
-                let period_ns = nanos(*period).max(1);
-                core.schedule(
-                    now,
-                    period_ns.saturating_sub(1),
-                    PeriodicEvent { period_ns },
-                );
-            }
-        }
+        shared.arm(config, shared.clock.now_ns());
         shared
+    }
+
+    /// Arms one periodic event per `config.timer_periods` entry at `now`,
+    /// each first due one period on.
+    fn arm(&self, config: &HostConfig, now: u64) {
+        let mut core = self.core.lock();
+        for period in &config.timer_periods {
+            let period_ns = nanos(*period).max(1);
+            core.schedule(
+                now,
+                period_ns.saturating_sub(1),
+                PeriodicEvent { period_ns },
+            );
+        }
     }
 }
 
@@ -249,6 +255,8 @@ pub(crate) struct ThreadOut {
     pub(crate) busy_ns: u64,
     /// Every fire this thread dispatched.
     pub(crate) fires: FireAccum,
+    /// The reading that opened the lane's last check.
+    last_check: Option<u64>,
 }
 
 impl ThreadOut {
@@ -258,6 +266,7 @@ impl ThreadOut {
             check_ns: HdrHistogram::new(SUB_BUCKET_BITS),
             busy_ns: 0,
             fires: FireAccum::new(),
+            last_check: None,
         }
     }
 }
@@ -467,32 +476,101 @@ impl LaneCtl {
 }
 
 /// One trigger-state check of a lane at its clock reading `seen_ns`, or one
-/// backup sweep (`None`): the shared [`SharedCore::fire_due`] pass on the
-/// host clock, handlers run against the lane's `acc`. Returns how many fired.
+/// backup sweep (`None`): the shared [`SharedCore::fire_due`] pass on
+/// `now_ns`, handlers run against the lane's `acc`. Returns how many fired.
 pub(crate) fn trigger_check<P: Payload>(
     shared: &Shared<P>,
     seen_ns: Option<u64>,
+    now_ns: impl Fn() -> u64,
     buf: &mut Vec<Expired<P>>,
     acc: &mut FireAccum,
 ) -> usize {
-    let now_ns = || shared.clock.now_ns();
     let handler = |ev: &mut Expired<P>| P::run(ev, shared, acc);
     shared.core.fire_due(seen_ns, now_ns, buf, handler)
 }
 
-/// The measuring loop of every lane: reach a trigger state, run the check,
-/// record its window and the interval from the start of the check before.
-/// A worker gets there by finishing `wait_ns` of busy work, cut short by
-/// stop / supersede but never by a deadline (that would be a hardware
-/// timer, not a soft one); the backup lane by parking one sweep period
-/// (re-read every cycle: the supervisor's retunes take effect at once),
-/// unparked early by [`Lanes::join`] and then gone without a sweep: past
-/// the stop, a sweep would only fire what the run no longer measures.
-/// Both run one batch and read the clock to close the check. The idle lane
-/// waits on the deadline word for at most `wait_ns` and runs rounds until
-/// a poll comes back empty, each one check; the last hold's reading closes
-/// the last round and is the first the next wait tests, so between a
-/// deadline passing and its dispatch the clock is read once, under the lock.
+/// A lane's way to its next trigger state from `now`, the reading that
+/// closed its last check, on `clock`: returns the reading that opens the
+/// check, or `None` when the backup lane woke to leave. A worker gets there
+/// by finishing `wait_ns` of busy work, cut short by `over` but never by a
+/// deadline (that would be a hardware timer, not a soft one). The idle lane
+/// waits on the deadline word for at most `wait_ns`, so between a deadline
+/// passing and its dispatch the clock is read once, under the lock. The
+/// backup lane `park`s one sweep period (re-read every cycle: the
+/// supervisor's retunes take effect at once); unparked early by
+/// [`Lanes::join`], it is gone without a sweep: past the stop, a sweep would
+/// only fire what the run no longer measures.
+#[inline]
+fn lane_wait<P: Payload>(
+    shared: &Shared<P>,
+    class: LaneClass,
+    now: u64,
+    wait_ns: u64,
+    clock: impl Fn() -> u64,
+    park: impl FnOnce(u64),
+    over: impl Fn() -> bool,
+) -> Option<u64> {
+    let end = now.saturating_add(wait_ns);
+    Some(match class {
+        LaneClass::Worker => spin(clock, |t| t >= end || over()),
+        LaneClass::IdlePoll => shared.core.wait_due(now, clock, |t| t >= end || over()),
+        LaneClass::Backup => {
+            park(shared.backup_period_ns.load(Ordering::Relaxed));
+            (!over()).then(clock)?
+        }
+    })
+}
+
+/// A lane's check opened by the reading `t0`, on `clock`: records its
+/// window and the interval from the start of the check before into `out`,
+/// and returns the reading that closed it. A worker or the backup lane runs
+/// one batch and reads the clock to close the check. The idle lane runs
+/// rounds until a poll comes back empty, each one check: `go_on` is shown
+/// the hold between two rounds ([`SharedCore::fire_rounds`]), and the last
+/// hold's reading closes the last round and is the first its next wait
+/// tests.
+#[inline]
+fn lane_check<P: Payload>(
+    shared: &Shared<P>,
+    class: LaneClass,
+    mut t0: u64,
+    clock: impl Fn() -> u64 + Copy,
+    buf: &mut Vec<Expired<P>>,
+    out: &mut ThreadOut,
+    mut go_on: impl FnMut(u64) -> bool,
+) -> u64 {
+    // One check, `from` the reading that opened it `to` the one that closed it.
+    let mut record = |from: u64, to: u64| {
+        out.check_ns.record(to - from);
+        if let Some(last) = out.last_check.replace(from) {
+            out.intervals.record(from - last);
+        }
+    };
+    let closed = match class {
+        LaneClass::Worker => {
+            trigger_check(shared, Some(t0), clock, buf, &mut out.fires);
+            None
+        }
+        LaneClass::IdlePoll => {
+            let handler = |ev: &mut _| P::run(ev, shared, &mut out.fires);
+            shared.core.fire_rounds(t0, clock, buf, handler, |hold_ns| {
+                record(std::mem::replace(&mut t0, hold_ns), hold_ns);
+                go_on(hold_ns)
+            })
+        }
+        LaneClass::Backup => {
+            trigger_check(shared, None, clock, buf, &mut out.fires);
+            None
+        }
+    };
+    let now = closed.unwrap_or_else(clock);
+    record(t0, now);
+    now
+}
+
+/// The measuring loop of every lane, on the host clock: the loop-top
+/// heartbeat and stall windows ([`LaneCtl::tick`]), then [`lane_wait`] and
+/// [`lane_check`], until the run stops or a replacement supersedes the lane.
 fn lane_loop<P: Payload>(
     shared: &Shared<P>,
     class: LaneClass,
@@ -501,49 +579,17 @@ fn lane_loop<P: Payload>(
 ) -> ThreadOut {
     let mut out = ThreadOut::empty();
     let mut buf: Vec<Expired<P>> = Vec::new();
-    let mut last_check: Option<u64> = None;
-    // One check, `from` the reading that opened it `to` the one that closed it.
-    let mut record = |from: u64, to: u64| {
-        out.check_ns.record(to - from);
-        if let Some(last) = last_check.replace(from) {
-            out.intervals.record(from - last);
-        }
-    };
-    let (core, clock) = (&shared.core, || shared.clock.now_ns());
+    let clock = || shared.clock.now_ns();
+    let park = |ns| std::thread::park_timeout(Duration::from_nanos(ns));
     let started = clock();
     let mut now = started;
     while ctl.tick(shared, now) {
-        let mut t0;
-        let closed = match class {
-            LaneClass::Worker => {
-                let until = now.saturating_add(wait_ns);
-                t0 = spin(clock, |t| t >= until || ctl.over(shared));
-                trigger_check(shared, Some(t0), &mut buf, &mut out.fires);
-                None
-            }
-            LaneClass::IdlePoll => {
-                let pause_end = now.saturating_add(wait_ns);
-                let over = |t| t >= pause_end || ctl.over(shared);
-                t0 = core.wait_due(now, clock, over);
-                let handler = |ev: &mut _| P::run(ev, shared, &mut out.fires);
-                core.fire_rounds(t0, clock, &mut buf, handler, |hold_ns| {
-                    record(std::mem::replace(&mut t0, hold_ns), hold_ns);
-                    ctl.go_on(shared, hold_ns)
-                })
-            }
-            LaneClass::Backup => {
-                let period_ns = shared.backup_period_ns.load(Ordering::Relaxed);
-                std::thread::park_timeout(Duration::from_nanos(period_ns));
-                if ctl.over(shared) {
-                    break;
-                }
-                t0 = clock();
-                trigger_check(shared, None, &mut buf, &mut out.fires);
-                None
-            }
+        let over = || ctl.over(shared);
+        let Some(t0) = lane_wait(shared, class, now, wait_ns, clock, park, over) else {
+            break;
         };
-        now = closed.unwrap_or_else(clock);
-        record(t0, now);
+        let go_on = |hold_ns| ctl.go_on(shared, hold_ns);
+        now = lane_check(shared, class, t0, clock, &mut buf, &mut out, go_on);
     }
     out.busy_ns = now - started;
     out
@@ -687,6 +733,121 @@ pub fn run(config: &HostConfig) -> HostReport {
     let duration_ns = (shared.clock.now_ns() - started).max(1);
 
     finish_report(&shared, config.workers, duration_ns, lanes.join())
+}
+
+/// One stretch of a lane's time in [`twin`]: how long its next wait may
+/// last, and whether the lane spends it on its core, where it sees a
+/// deadline pass.
+#[derive(Debug, Clone, Copy)]
+pub struct Stretch {
+    /// Length (ns; 0 counts as 1).
+    pub ns: u64,
+    /// Whether the lane can wake inside the stretch for a deadline.
+    pub on_core: bool,
+}
+
+/// A lane of [`twin`]: its class, the reading that closed its last check,
+/// the stretch it waits through next and what it brings home.
+struct TwinLane {
+    class: LaneClass,
+    now: u64,
+    next: Stretch,
+    out: ThreadOut,
+}
+
+/// [`run`]'s twin in virtual time: the lanes `config` has, on one thread,
+/// each running its own wait and check against one core armed at time 0
+/// until `duration_ns`. What the machine does to a lane comes from
+/// `stretch`: each wait is handed its class's next stretch as its task or
+/// pause (a measured interval is the whole gap a lane got between two
+/// checks), and each reading of the lane's clock jumps to the next instant
+/// the lane watches: the stretch's end or, on its core, the earliest
+/// deadline plus `wake_ns`. A check takes no virtual time. Each step asks
+/// every lane's wait for its next check (the idle lane's wait is
+/// read-only, so asking again after every check is safe) and runs the
+/// earliest lane's check, ties in [`lane_classes`] order. The report is
+/// [`run`]'s fold. The twin is a function of its arguments, and what it
+/// fires is not host telemetry: a session on the calling thread does not
+/// see it.
+pub fn twin(
+    config: &HostConfig,
+    duration_ns: u64,
+    wake_ns: u64,
+    stretch: impl FnMut(LaneClass) -> Stretch,
+) -> HostReport {
+    let shared = Shared::new(config, FaultClock::healthy(), None);
+    shared.arm(config, 0);
+    let outer = st_trace::suspend();
+    let report = twin_on(&shared, config, duration_ns, wake_ns, stretch);
+    st_trace::resume(outer);
+    report
+}
+
+/// [`twin`] on an armed `shared`.
+fn twin_on(
+    shared: &Shared,
+    config: &HostConfig,
+    duration_ns: u64,
+    wake_ns: u64,
+    mut stretch: impl FnMut(LaneClass) -> Stretch,
+) -> HostReport {
+    let mut lanes: Vec<TwinLane> = lane_classes(config)
+        .into_iter()
+        .map(|class| TwinLane {
+            class,
+            now: 0,
+            next: stretch(class),
+            out: ThreadOut::empty(),
+        })
+        .collect();
+    let opens = |lane: &TwinLane| {
+        let (now, ns) = (lane.now, lane.next.ns.max(1));
+        let last = std::cell::Cell::new(now);
+        let clock = || {
+            // The stretch's end, or a later stretch's if the lane waits past it.
+            let end = now.saturating_add(((last.get() - now) / ns + 1).saturating_mul(ns));
+            let wake = shared.core.earliest().saturating_add(wake_ns);
+            let at = if lane.next.on_core && wake > last.get() {
+                wake.min(end)
+            } else {
+                end
+            };
+            last.set(at);
+            at
+        };
+        // Only a stopped backup lane leaves, and nothing stops here.
+        lane_wait(shared, lane.class, now, ns, clock, |_| {}, || false).unwrap_or(u64::MAX)
+    };
+    let mut buf = Vec::new();
+    loop {
+        let next = lanes
+            .iter()
+            .enumerate()
+            .map(|(i, lane)| (opens(lane), i))
+            .min();
+        let Some((t0, i)) = next.filter(|&(t0, _)| t0 <= duration_ns) else {
+            break;
+        };
+        let lane = &mut lanes[i];
+        lane.now = lane_check(
+            shared,
+            lane.class,
+            t0,
+            || t0,
+            &mut buf,
+            &mut lane.out,
+            |_| true,
+        );
+        lane.next = stretch(lane.class);
+    }
+    let outs = lanes
+        .into_iter()
+        .map(|mut lane| {
+            lane.out.busy_ns = lane.now;
+            (lane.class, lane.out)
+        })
+        .collect();
+    finish_report(shared, config.workers, duration_ns.max(1), outs)
 }
 
 /// Folds the per-thread measurements into a [`HostReport`]. A supervised
@@ -1131,6 +1292,59 @@ pub(crate) mod tests {
         // The pause still bounds the gap between checks from above.
         let gap = report.idle_poll.unwrap().intervals.quantile(0.5).unwrap();
         assert!(gap < 250_000, "idle interval p50 {gap} ns");
+    }
+
+    fn stretch(ns: u64, on_core: bool) -> Stretch {
+        Stretch { ns, on_core }
+    }
+
+    #[test]
+    fn the_twin_idle_lane_fires_at_the_deadline_not_at_the_end_of_its_stretch() {
+        const WAKE_NS: u64 = 100;
+        // Stretches of 1-3 us on the core, drawn: checks off the deadlines'
+        // grid, where a blind wait would fire about a microsecond late.
+        let mut rng = st_sim::SimRng::seed(5);
+        let config = idle_only(100, Duration::from_micros(200));
+        let report = twin(&config, 100_000_000, WAKE_NS, |class| match class {
+            LaneClass::Backup => stretch(20_000_000, false),
+            _ => stretch(rng.range_u64(1_000, 3_000), true),
+        });
+        let fired = &report.idle_poll.unwrap().fire_delay_ns;
+        assert!(fired.count() > 100, "{}", fired.count());
+        let p50 = fired.quantile(0.5).unwrap();
+        assert!(p50 <= WAKE_NS, "idle-origin p50 delay {p50} ns");
+    }
+
+    #[test]
+    fn a_saturated_twin_conserves_its_events() {
+        let config = saturating(0);
+        let shared = Shared::new(&config, FaultClock::healthy(), None);
+        shared.arm(&config, 0);
+        let report = twin_on(&shared, &config, 4_000_000, 100, |class| match class {
+            LaneClass::Worker => stretch(20_000, false),
+            LaneClass::IdlePoll => stretch(2_000, true),
+            LaneClass::Backup => stretch(2_000_000, false),
+        });
+        assert_conserved(&report, 1_000);
+        assert_eq!(shared.core.lock().pending(), 1_000);
+    }
+
+    #[test]
+    fn the_twin_fires_nothing_into_the_callers_session() {
+        let session = st_trace::TraceSession::start(st_trace::TraceConfig::default());
+        let report = twin(&quick_config(), 5_000_000, 100, |_| stretch(2_000, true));
+        st_trace::count("after_the_twin", 1);
+        let snapshot = session.finish();
+        assert!(report.handler_runs > 0);
+        let host: Vec<_> = snapshot
+            .registry
+            .counters()
+            .filter(|(name, _)| name.starts_with("rt.host."))
+            .collect();
+        assert!(host.is_empty(), "{host:?}");
+        assert_eq!(snapshot.event_count("rt.host.fire"), 0);
+        // The caller's session is back in place afterwards.
+        assert_eq!(snapshot.counter("after_the_twin"), 1);
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //!   exist; launch, restart, join), serves [`host::run`], which spawns
 //!   the lanes and nothing else, [`run_guarded`], which lends the table
 //!   to a supervisor thread, and [`RtSoftTimers`], whose table is its
-//!   backup lane alone.
+//!   backup lane alone. A lane's wait and its check are two functions
+//!   that take the clock as an argument: the lane threads run them on
+//!   the host clock, and [`host::twin`] runs the same two on one thread
+//!   in virtual time — `repro rt_calibration`'s prediction.
 //! - [`probe`] — microbenchmarks fitting the machine's trigger-check /
 //!   dispatch / clock-read costs and sleep-vs-spin wake-up precision, the
 //!   inputs to `CostModel::calibrated_host` and `repro rt_calibration`.

@@ -118,7 +118,7 @@ fn min_per_iter_guarded(
 
 /// Cost of one clock read (ns). Batch retries forced by the outlier
 /// guard accumulate into `retries`.
-pub fn clock_read_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
+fn clock_read_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
     min_per_iter_guarded(clock, 32, 10_000, retries, || {
         std::hint::black_box(clock.now_ns());
     })
@@ -147,7 +147,7 @@ fn empty_poll_cost(clock: &NanoClock, retries: &mut u64) -> f64 {
 
 /// Cost of one empty trigger-state check (ns): a clock read plus an empty
 /// `poll`. Batch retries accumulate into `retries`.
-pub fn trigger_check_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
+fn trigger_check_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
     empty_poll_cost(clock, retries) + clock_read_cost_tracked(clock, retries)
 }
 
@@ -159,7 +159,7 @@ pub fn trigger_check_cost(clock: &NanoClock) -> f64 {
 /// Marginal cost of dispatching one due event (ns): schedule-and-fire in
 /// a tight loop, minus the empty-check cost measured the same way. Batch
 /// retries accumulate into `retries`.
-pub fn fire_dispatch_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
+fn fire_dispatch_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
     // Empty-check baseline *without* the clock-read add-on: the
     // subtraction below must compare like with like.
     let check = empty_poll_cost(clock, retries);
@@ -201,9 +201,10 @@ pub fn batch_dispatch_cost(clock: &NanoClock) -> f64 {
     let shared = Shared::build(&config, FaultClock::healthy(), None);
     let mut acc = FireAccum::new();
     let mut buf = Vec::new();
+    let now_ns = || shared.clock.now_ns();
     let per_batch = min_per_iter_guarded(clock, 32, 4, &mut 0, || {
-        let seen = shared.core.wait_due(0, || shared.clock.now_ns(), |_| false);
-        let fired = trigger_check(&shared, Some(seen), &mut buf, &mut acc);
+        let seen = shared.core.wait_due(0, now_ns, |_| false);
+        let fired = trigger_check(&shared, Some(seen), now_ns, &mut buf, &mut acc);
         debug_assert_eq!(fired, TIMERS);
     });
     per_batch / TIMERS as f64

@@ -336,7 +336,14 @@ mod tests {
             rt.schedule_in(10 * US, bump(&f));
             std::thread::sleep(MS);
             c.store(rt.run_pending() as u32, SEQ);
-            let sweep = trigger_check(&rt.shared, None, &mut Vec::new(), &mut FireAccum::new());
+            let now_ns = || rt.measure_time();
+            let sweep = trigger_check(
+                &rt.shared,
+                None,
+                now_ns,
+                &mut Vec::new(),
+                &mut FireAccum::new(),
+            );
             s.store(sweep as u32, SEQ);
         });
         std::thread::sleep(MS);

@@ -144,7 +144,8 @@ echo "== rt smoke: host runtime + sim<->reality calibration =="
 # rt_calibration runs the facility on real OS threads: probes the host's
 # check/dispatch/clock costs, measures trigger intervals and fire delays
 # in wall-clock ns, fits the sim's CostModel from the measurements, and
-# replays the measured run sim-side twice (byte-identity gated inside
+# replays the measured run twice through host::twin, the same lane code
+# in virtual time on resampled intervals (byte-identity gated inside
 # the experiment; sim_replay_identical:1 asserts it from out here). The
 # host half is real measurement, so nothing gates on its magnitudes —
 # only on the artifact being present, valid, and complete, and on one
