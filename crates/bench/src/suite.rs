@@ -460,13 +460,10 @@ pub fn run_suite(smoke: bool) -> Vec<BenchStat> {
     out.push(stat(
         "guard.supervisor_scan",
         measure(n, |b| {
-            use st_rt::{Action, LaneClass, SupervisorConfig, SupervisorCore};
+            use st_rt::{Action, Guard, LaneClass, SupervisorCore};
+            // The default policy: 25 ms window, 3 restarts at 10 ms backoff.
             let mut core = SupervisorCore::new(
-                SupervisorConfig {
-                    stall_window_ns: 25_000_000,
-                    restart_budget: 3,
-                    restart_backoff_ns: 10_000_000,
-                },
+                &Guard::default(),
                 vec![
                     LaneClass::Worker,
                     LaneClass::Worker,

@@ -2,9 +2,9 @@
 //! and measure detection, self-healing, and graceful degradation.
 //!
 //! Six fault classes run back to back, each a supervised host run
-//! ([`st_rt::run_guarded`]) with one fault family injected from the
-//! deterministic [`st_rt::ChaosSchedule`] (fork label 10 of the st-fault
-//! plan's seed):
+//! ([`st_rt::host::run`] with a [`Guard`]) with one fault family injected
+//! from the deterministic [`st_rt::ChaosSchedule`] (fork label 10 of the
+//! st-fault plan's seed):
 //!
 //! | class | injects | must demonstrate |
 //! |---|---|---|
@@ -30,8 +30,8 @@ use std::time::Duration;
 
 use st_fault::HostFaults;
 use st_rt::{
-    lane_classes, plan_lane_stalls, run_guarded, Action, ChaosConfig, GuardConfig, GuardReport,
-    HostConfig, LaneClass, SupervisorConfig, SupervisorCore,
+    clock::nanos, host, lane_classes, plan_lane_stalls, Action, ChaosConfig, Guard, GuardReport,
+    HostConfig, HostReport, LaneClass, SupervisorCore,
 };
 
 use crate::Scale;
@@ -139,8 +139,10 @@ fn class_specs() -> Vec<ClassSpec> {
 pub struct ClassOutcome {
     /// Class name (stable metric-key prefix).
     pub name: &'static str,
-    /// The supervised host run's full report.
+    /// What supervising the run did (taken out of `host`).
     pub guard: GuardReport,
+    /// The supervised host run's own measurements.
+    pub host: HostReport,
     /// Whether two sim-twin replays were byte-identical.
     pub twin_identical: bool,
     /// Twin's action count (a cheap visibility check that the twin
@@ -175,16 +177,16 @@ pub struct RtChaos {
 /// to the restart instant, exactly like the host executor filters the
 /// replacement thread's stalls to future-only. Returns a digest of every
 /// action with its virtual timestamp — pure in its inputs, so two calls
-/// must agree byte-for-byte.
+/// must agree byte-for-byte. `guard` gives the policy and the scan period.
 pub fn twin_digest(
     classes: &[LaneClass],
-    sup: SupervisorConfig,
-    scan_ns: u64,
+    guard: &Guard,
     duration_ns: u64,
     stalls: &[Vec<(u64, u64)>],
 ) -> String {
     let n = classes.len();
-    let mut core = SupervisorCore::new(sup, classes.to_vec());
+    let scan_ns = nanos(guard.scan_period);
+    let mut core = SupervisorCore::new(guard, classes.to_vec());
     let mut cancelled_before = vec![0u64; n];
     let mut beats = vec![0u64; n];
     let mut acts: Vec<Action> = Vec::new();
@@ -263,11 +265,6 @@ pub fn run(scale: Scale, seed: u64) -> RtChaos {
 
     let mut classes = Vec::with_capacity(specs.len());
     for spec in &specs {
-        let host = HostConfig {
-            workers: 1,
-            duration: per_class,
-            ..HostConfig::default()
-        };
         let chaos = spec.faults.map(|faults| ChaosConfig {
             faults,
             seed,
@@ -275,33 +272,34 @@ pub fn run(scale: Scale, seed: u64) -> RtChaos {
             stall_idle: spec.stall_idle,
             synchronized_stalls: spec.synchronized,
         });
-        let config = GuardConfig {
+        let sup = Guard {
             restart_budget: spec.restart_budget,
             // Sleep-overshoot allowance on an oversubscribed container;
             // still several times tighter than the injected stalls.
             envelope_slack: Duration::from_millis(8),
             chaos,
-            ..GuardConfig::new(host)
+            ..Guard::default()
         };
-        let guard = run_guarded(&config);
-        guard.host.emit_telemetry();
+        let config = HostConfig {
+            workers: 1,
+            duration: per_class,
+            guard: Some(sup),
+            ..HostConfig::default()
+        };
+        let mut report = host::run(&config);
+        report.emit_telemetry();
+        let guard = report.guard.take().expect("a supervised run reports");
 
         // The sim twin supervises the same lane layout over the same
         // planned stall windows, in virtual time, twice.
-        let duration_ns = u64::try_from(config.host.duration.as_nanos()).unwrap_or(u64::MAX);
-        let lane_set = lane_classes(&config.host);
-        let stalls = match &config.chaos {
+        let duration_ns = nanos(config.duration);
+        let lane_set = lane_classes(&config);
+        let stalls = match &chaos {
             Some(ch) => plan_lane_stalls(&lane_set, ch, duration_ns).0,
             None => vec![Vec::new(); lane_set.len()],
         };
-        let sup = SupervisorConfig {
-            stall_window_ns: guard.stall_window_ns,
-            restart_budget: config.restart_budget,
-            restart_backoff_ns: u64::try_from(config.restart_backoff.as_nanos())
-                .unwrap_or(u64::MAX),
-        };
-        let a = twin_digest(&lane_set, sup, guard.scan_period_ns, duration_ns, &stalls);
-        let b = twin_digest(&lane_set, sup, guard.scan_period_ns, duration_ns, &stalls);
+        let a = twin_digest(&lane_set, &sup, duration_ns, &stalls);
+        let b = twin_digest(&lane_set, &sup, duration_ns, &stalls);
         let twin_identical = a == b;
         assert!(
             twin_identical,
@@ -317,8 +315,8 @@ pub fn run(scale: Scale, seed: u64) -> RtChaos {
 
         // Detection latency: heartbeat age at detection must sit near
         // the stall window — window plus a generous scan-cadence slack
-        // for a preempted supervisor thread, far below the stall length.
-        let detect_slack = guard.stall_window_ns + 8 * guard.scan_period_ns;
+        // for a preempted supervising thread, far below the stall length.
+        let detect_slack = nanos(sup.stall_window) + 8 * nanos(sup.scan_period);
         let detected_in_window = match guard.detect_age_ns.max() {
             Some(worst) => worst <= detect_slack,
             None => true,
@@ -332,6 +330,7 @@ pub fn run(scale: Scale, seed: u64) -> RtChaos {
         classes.push(ClassOutcome {
             name: spec.name,
             guard,
+            host: report,
             twin_identical,
             twin_actions,
             detected_in_window,
@@ -378,7 +377,7 @@ impl RtChaos {
                 g.degraded_total_ns() as f64 / 1e6,
                 g.degraded_delay_ns.quantile(0.99).unwrap_or(0) as f64 / 1e3,
                 g.envelope_ns as f64 / 1e3,
-                g.panics_caught,
+                c.host.stats.handler_panics,
                 g.clock_jumps_applied,
                 if c.twin_identical { "ok" } else { "DIVERGED" },
             ));
@@ -397,8 +396,7 @@ impl RtChaos {
     pub fn key_metrics(&self) -> Vec<(String, f64)> {
         let mut m: Vec<(String, f64)> = vec![("classes".into(), self.classes.len() as f64)];
         for c in &self.classes {
-            let g = &c.guard;
-            let n = c.name;
+            let (g, h, n) = (&c.guard, &c.host, c.name);
             m.extend([
                 (format!("{n}_stalls_injected"), g.stalls_injected as f64),
                 (format!("{n}_stalls_detected"), g.detections as f64),
@@ -427,7 +425,7 @@ impl RtChaos {
                     format!("{n}_detected_in_window"),
                     f64::from(u8::from(c.detected_in_window)),
                 ),
-                (format!("{n}_panics_caught"), g.panics_caught as f64),
+                (format!("{n}_panics_caught"), h.stats.handler_panics as f64),
                 (format!("{n}_clock_jumps"), g.clock_jumps_applied as f64),
                 (format!("{n}_lock_recoveries"), g.lock_recoveries as f64),
                 (format!("{n}_twin_actions"), c.twin_actions as f64),
@@ -476,15 +474,12 @@ mod tests {
     #[test]
     fn twin_is_deterministic_and_models_the_stall() {
         let classes = vec![LaneClass::Worker, LaneClass::IdlePoll, LaneClass::Backup];
-        let sup = SupervisorConfig {
-            stall_window_ns: 25 * MS,
-            restart_budget: 3,
-            restart_backoff_ns: 10 * MS,
-        };
+        // The default policy: 25 ms stall window, 3 restarts at 10 ms backoff.
+        let sup = Guard::default();
         // Idle lane (index 1) wedges for 60 ms starting at 100 ms.
         let stalls = vec![Vec::new(), vec![(100 * MS, 60 * MS)], Vec::new()];
-        let a = twin_digest(&classes, sup, 5 * MS, 400 * MS, &stalls);
-        let b = twin_digest(&classes, sup, 5 * MS, 400 * MS, &stalls);
+        let a = twin_digest(&classes, &sup, 400 * MS, &stalls);
+        let b = twin_digest(&classes, &sup, 400 * MS, &stalls);
         assert_eq!(a, b, "twin replay diverged");
         // The stall must surface as a detection, a restart (which cures
         // it in the model), a recovery, and a degrade/restore pair.
@@ -496,8 +491,7 @@ mod tests {
         // A healthy twin logs nothing.
         let quiet = twin_digest(
             &classes,
-            sup,
-            5 * MS,
+            &sup,
             400 * MS,
             &[Vec::new(), Vec::new(), Vec::new()],
         );
@@ -508,13 +502,12 @@ mod tests {
     #[test]
     fn twin_budget_zero_gives_up_and_recovers_naturally() {
         let classes = vec![LaneClass::Worker, LaneClass::IdlePoll];
-        let sup = SupervisorConfig {
-            stall_window_ns: 25 * MS,
+        let sup = Guard {
             restart_budget: 0,
-            restart_backoff_ns: 10 * MS,
+            ..Guard::default()
         };
         let stalls = vec![vec![(100 * MS, 60 * MS)], vec![(100 * MS, 60 * MS)]];
-        let d = twin_digest(&classes, sup, 5 * MS, 400 * MS, &stalls);
+        let d = twin_digest(&classes, &sup, 400 * MS, &stalls);
         assert!(d.contains("GiveUp"), "{d}");
         assert!(!d.contains("Restart"), "budget 0 must never restart: {d}");
         // The wedge ends on its own at 160 ms: lanes recover, mode
@@ -550,15 +543,15 @@ mod tests {
             "starvation must degrade"
         );
         let panic_class = by_name("callback_panic");
-        assert!(panic_class.guard.panics_caught > 0);
+        assert!(panic_class.host.stats.handler_panics > 0);
         assert_eq!(
-            panic_class.guard.panics_caught,
+            panic_class.host.stats.handler_panics,
             panic_class.guard.panics_injected
         );
         assert!(by_name("clock_jump").guard.clock_jumps_applied >= 1);
         // Every class keeps the workload alive.
         for c in &r.classes {
-            assert!(c.guard.host.handler_runs > 0, "{} starved out", c.name);
+            assert!(c.host.handler_runs > 0, "{} starved out", c.name);
         }
     }
 }

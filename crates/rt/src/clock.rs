@@ -25,10 +25,17 @@ pub fn saturations() -> u64 {
 }
 
 /// A `Duration` as nanosecond ticks, pinning at `u64::MAX` on overflow —
-/// audibly: each clamp is counted (see [`saturations`]) and traced as
-/// `rt.time_saturations` when a session is active on the calling thread.
+/// audibly, through [`saturating_ns`].
 pub fn nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or_else(|_| {
+    saturating_ns(d.as_nanos())
+}
+
+/// A wide nanosecond count (a `Duration`, a histogram's exact sum) as
+/// `u64`, pinning at `u64::MAX` on overflow — audibly: each clamp is
+/// counted (see [`saturations`]) and traced as `rt.time_saturations` when a
+/// session is active on the calling thread.
+pub(crate) fn saturating_ns(ns: u128) -> u64 {
+    u64::try_from(ns).unwrap_or_else(|_| {
         SATURATIONS.fetch_add(1, Ordering::Relaxed);
         st_trace::count("rt.time_saturations", 1);
         st_trace::emit(st_trace::Category::Rt, "rt.nanos_saturated", u64::MAX, 0, 0);

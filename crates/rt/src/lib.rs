@@ -22,13 +22,14 @@
 //!   backup-sweep lane; measures trigger-interval and fire-delay
 //!   distributions per source and the in-situ CPU share. One lane table,
 //!   generic over its payload ([`lane_classes`] decides which lanes
-//!   exist; launch, restart, join), serves [`host::run`], which spawns
-//!   the lanes and nothing else, [`run_guarded`], which lends the table
-//!   to a supervisor thread, and [`RtSoftTimers`], whose table is its
-//!   backup lane alone. A lane's wait and its check are two functions
-//!   that take the clock as an argument: the lane threads run them on
-//!   the host clock, and [`host::twin`] runs the same two on one thread
-//!   in virtual time — `repro rt_calibration`'s prediction.
+//!   exist; launch, restart, join), serves [`host::run`], the one entry
+//!   point, which spawns the lanes and nothing else and, given a
+//!   [`Guard`], supervises them from its calling thread for the run; and
+//!   [`RtSoftTimers`], whose table is its backup lane alone. A lane's wait
+//!   and its check are two functions that take the clock as an argument:
+//!   the lane threads run them on the host clock, and [`host::twin`] runs
+//!   the same two on one thread in virtual time — `repro rt_calibration`'s
+//!   prediction.
 //! - [`probe`] — microbenchmarks fitting the machine's trigger-check /
 //!   dispatch / clock-read costs and sleep-vs-spin wake-up precision, the
 //!   inputs to `CostModel::calibrated_host` and `repro rt_calibration`.
@@ -64,8 +65,7 @@ pub mod timers;
 pub use chaos::{ChaosSchedule, ChaosState, FaultClock};
 pub use clock::NanoClock;
 pub use guard::{
-    plan_lane_stalls, run_guarded, Action, ChaosConfig, GuardConfig, GuardReport, Heartbeat,
-    SupervisorConfig, SupervisorCore,
+    plan_lane_stalls, Action, ChaosConfig, Guard, GuardReport, Heartbeat, SupervisorCore,
 };
 pub use host::{
     lane_classes, lock_recoveries, FireReport, HostConfig, HostReport, LaneClass, SourceReport,

@@ -25,13 +25,13 @@
 //! [`Calibration::probe_retries`] so a noisy calibration is visible in
 //! the report instead of silently wrong.
 
+use std::cell::Cell;
 use std::time::Duration;
 
 use st_core::{Config, Expired, SoftTimerCore};
 use st_stats::HdrHistogram;
 use st_trace::json::ObjectBuilder;
 
-use crate::chaos::FaultClock;
 use crate::clock::{nanos, NanoClock};
 use crate::host::{
     hist_json, trigger_check, FireAccum, HostConfig, Payload, PeriodicEvent, Shared,
@@ -76,17 +76,22 @@ pub const CORROBORATION_FACTOR: f64 = 1.5;
 /// uncorroborated) minimum is reported anyway.
 pub const MAX_RETRY_ROUNDS: u32 = 4;
 
+thread_local! {
+    /// Batch-set retries [`min_per_iter_guarded`] made on this thread (per
+    /// thread, so parallel callers keep apart): [`calibrate`] reads a delta.
+    static RETRIES: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Minimum per-iteration time over `batches` batches of `iters` calls of
 /// `body` (ns), with an outlier guard: the minimum must be corroborated
 /// by a second batch within [`CORROBORATION_FACTOR`], else the whole
 /// batch set is retried (up to [`MAX_RETRY_ROUNDS`] extra rounds, each
-/// counted into `retries`). Batching amortizes the two boundary clock
-/// reads.
+/// counted into the thread's `RETRIES`). Batching amortizes the two
+/// boundary clock reads.
 fn min_per_iter_guarded(
     clock: &NanoClock,
     batches: usize,
     iters: u64,
-    retries: &mut u64,
     mut body: impl FnMut(),
 ) -> f64 {
     let mut best = f64::INFINITY;
@@ -110,35 +115,29 @@ fn min_per_iter_guarded(
             break;
         }
         if round < MAX_RETRY_ROUNDS {
-            *retries += 1;
+            RETRIES.set(RETRIES.get() + 1);
         }
     }
     best
 }
 
-/// Cost of one clock read (ns). Batch retries forced by the outlier
-/// guard accumulate into `retries`.
-fn clock_read_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
-    min_per_iter_guarded(clock, 32, 10_000, retries, || {
-        std::hint::black_box(clock.now_ns());
-    })
-}
-
 /// Cost of one clock read (ns).
 pub fn clock_read_cost(clock: &NanoClock) -> f64 {
-    clock_read_cost_tracked(clock, &mut 0)
+    min_per_iter_guarded(clock, 32, 10_000, || {
+        std::hint::black_box(clock.now_ns());
+    })
 }
 
 /// Cost of one `poll` that finds nothing due (ns), the clock read not
 /// included: a core holding one far-future event (the common case — events
 /// are pending but none is due), so `poll` takes its real earliest-deadline
 /// path instead of the empty-wheel shortcut.
-fn empty_poll_cost(clock: &NanoClock, retries: &mut u64) -> f64 {
+fn empty_poll_cost(clock: &NanoClock) -> f64 {
     let mut core: SoftTimerCore<u32> = SoftTimerCore::new(Config::default());
     core.schedule(0, u32::MAX as u64, 0);
     let mut buf: Vec<Expired<u32>> = Vec::new();
     let mut now = 1u64;
-    min_per_iter_guarded(clock, 32, 10_000, retries, || {
+    min_per_iter_guarded(clock, 32, 10_000, || {
         now += 1;
         core.poll(std::hint::black_box(now), &mut buf);
         std::hint::black_box(&buf);
@@ -146,27 +145,21 @@ fn empty_poll_cost(clock: &NanoClock, retries: &mut u64) -> f64 {
 }
 
 /// Cost of one empty trigger-state check (ns): a clock read plus an empty
-/// `poll`. Batch retries accumulate into `retries`.
-fn trigger_check_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
-    empty_poll_cost(clock, retries) + clock_read_cost_tracked(clock, retries)
-}
-
-/// Cost of one empty trigger-state check (ns).
+/// `poll`.
 pub fn trigger_check_cost(clock: &NanoClock) -> f64 {
-    trigger_check_cost_tracked(clock, &mut 0)
+    empty_poll_cost(clock) + clock_read_cost(clock)
 }
 
 /// Marginal cost of dispatching one due event (ns): schedule-and-fire in
-/// a tight loop, minus the empty-check cost measured the same way. Batch
-/// retries accumulate into `retries`.
-fn fire_dispatch_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
+/// a tight loop, minus the empty-check cost measured the same way.
+pub fn fire_dispatch_cost(clock: &NanoClock) -> f64 {
     // Empty-check baseline *without* the clock-read add-on: the
     // subtraction below must compare like with like.
-    let check = empty_poll_cost(clock, retries);
+    let check = empty_poll_cost(clock);
     let mut core: SoftTimerCore<u32> = SoftTimerCore::new(Config::default());
     let mut buf: Vec<Expired<u32>> = Vec::new();
     let mut now = 1u64;
-    let with_fire = min_per_iter_guarded(clock, 32, 5_000, retries, || {
+    let with_fire = min_per_iter_guarded(clock, 32, 5_000, || {
         // Deadline is now+1; advancing two ticks makes it due, so every
         // iteration is one schedule + one firing poll.
         core.schedule(now, 0, 7);
@@ -178,11 +171,6 @@ fn fire_dispatch_cost_tracked(clock: &NanoClock, retries: &mut u64) -> f64 {
     // dispatch (schedule and dispatch both touch one wheel slot and are
     // within ~2x of each other on every machine we have seen).
     ((with_fire - check) / 2.0).max(1.0)
-}
-
-/// Marginal cost of dispatching one due event (ns).
-pub fn fire_dispatch_cost(clock: &NanoClock) -> f64 {
-    fire_dispatch_cost_tracked(clock, &mut 0)
 }
 
 /// Cost per fire of a due batch through the host runtime's real
@@ -198,11 +186,11 @@ pub fn batch_dispatch_cost(clock: &NanoClock) -> f64 {
         timer_periods: vec![Duration::from_micros(1); TIMERS],
         ..HostConfig::default()
     };
-    let shared = Shared::build(&config, FaultClock::healthy(), None);
+    let shared = Shared::build(&config, None);
     let mut acc = FireAccum::new();
     let mut buf = Vec::new();
     let now_ns = || shared.clock.now_ns();
-    let per_batch = min_per_iter_guarded(clock, 32, 4, &mut 0, || {
+    let per_batch = min_per_iter_guarded(clock, 32, 4, || {
         let seen = shared.core.wait_due(0, now_ns, |_| false);
         let fired = trigger_check(&shared, Some(seen), now_ns, &mut buf, &mut acc);
         debug_assert_eq!(fired, TIMERS);
@@ -225,7 +213,7 @@ pub fn busy_round_cost(clock: &NanoClock) -> f64 {
         timer_periods: Vec::new(),
         ..HostConfig::default()
     };
-    let shared = Shared::build(&config, FaultClock::healthy(), None);
+    let shared = Shared::build(&config, None);
     let core = &shared.core;
     for first in [1, 3] {
         for _ in 0..GROUP {
@@ -264,7 +252,7 @@ pub fn wake_fire_delay(samples: usize) -> f64 {
         timer_periods: vec![Duration::from_micros(20)],
         ..HostConfig::default()
     };
-    let shared = Shared::build(&config, FaultClock::healthy(), None);
+    let shared = Shared::build(&config, None);
     let mut acc = FireAccum::new();
     let mut buf = Vec::new();
     let (core, clock) = (&shared.core, || shared.clock.now_ns());
@@ -308,10 +296,11 @@ pub fn spin_slack(clock: &NanoClock, requested: Duration, samples: usize) -> Hdr
 /// sleep-slack samples are taken (each pays a ~1 ms sleep).
 pub fn calibrate(budget: Duration) -> Calibration {
     let clock = NanoClock::new();
-    let mut probe_retries = 0u64;
-    let clock_read_ns = clock_read_cost_tracked(&clock, &mut probe_retries);
-    let trigger_check_ns = trigger_check_cost_tracked(&clock, &mut probe_retries);
-    let fire_dispatch_ns = fire_dispatch_cost_tracked(&clock, &mut probe_retries);
+    let retries_before = RETRIES.get();
+    let clock_read_ns = clock_read_cost(&clock);
+    let trigger_check_ns = trigger_check_cost(&clock);
+    let fire_dispatch_ns = fire_dispatch_cost(&clock);
+    let probe_retries = RETRIES.get() - retries_before;
     let sleep_req = Duration::from_millis(1);
     // Leave half the budget for sleeps; each sample costs ~1 ms + slack.
     let sleep_samples = (budget.as_millis() / 2).clamp(8, 200) as usize;
@@ -414,15 +403,16 @@ mod tests {
         // retried minimum corroborates and the loop stops early.
         let clock = NanoClock::new();
         let mut calls = 0u64;
-        let mut retries = 0u64;
+        let before = RETRIES.get();
         let iters = 200u64;
-        let v = min_per_iter_guarded(&clock, 2, iters, &mut retries, || {
+        let v = min_per_iter_guarded(&clock, 2, iters, || {
             calls += 1;
             if calls > iters && calls <= 2 * iters {
                 let t = clock.now_ns();
                 clock.spin_until(t + 1_000);
             }
         });
+        let retries = RETRIES.get() - before;
         assert!(retries >= 1, "outlier minimum must force a retry");
         assert!(
             retries <= MAX_RETRY_ROUNDS as u64,
@@ -436,11 +426,15 @@ mod tests {
         // A body whose batches all behave identically corroborates
         // immediately: retries stays 0.
         let clock = NanoClock::new();
-        let mut retries = 0u64;
-        let v = min_per_iter_guarded(&clock, 8, 5_000, &mut retries, || {
+        let before = RETRIES.get();
+        let v = min_per_iter_guarded(&clock, 8, 5_000, || {
             std::hint::black_box(clock.now_ns());
         });
-        assert_eq!(retries, 0, "uniform batches must corroborate in round 0");
+        assert_eq!(
+            RETRIES.get(),
+            before,
+            "uniform batches must corroborate in round 0"
+        );
         assert!(v > 0.0);
     }
 }

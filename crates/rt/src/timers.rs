@@ -15,7 +15,7 @@
 //! It is the **unsupervised** face: the trigger states are the caller's
 //! own threads, so `crate::guard` does not watch its table — nothing
 //! restarts a stalled backup lane or tightens its period. A program that
-//! needs supervision runs its work on `run_guarded`'s lanes.
+//! needs supervision runs its work on the lanes of a guarded `host::run`.
 //!
 //! `examples/quickstart.rs` and the `soft_timers` crate docs show it in use.
 

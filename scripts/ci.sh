@@ -195,9 +195,11 @@ echo "== rt chaos smoke: supervised runtime under fault injection =="
 # (stalls, synchronized trigger starvation, handler panics, clock
 # jumps) injected from the st-fault plan's seeded schedule. Host-side
 # latencies are real measurement and never gate; what gates is the
-# structure: the JSON artifact validates, every class's supervisor
-# action log replays byte-identically in the sim twin, and at least one
-# injected stall was detected and recovered from. RT_CHAOS=0 skips the
+# structure: the JSON artifact validates, every class's sim twin (the
+# same supervisor core over the same planned stalls, in virtual time)
+# logs byte-identical actions in two replays — the host's actions are
+# counted, not compared with the twin's — and at least one injected
+# stall was detected and recovered from. RT_CHAOS=0 skips the
 # step (same escape hatch as RT_SMOKE); RT_CHAOS_SECS bounds the total
 # host budget across all classes.
 if [ "${RT_CHAOS:-1}" = "0" ]; then
@@ -209,7 +211,7 @@ else
     [ "$(wc -l < "$SMOKE_DIR/chaos.json")" -eq 1 ] \
         || { echo "rt chaos smoke: expected exactly one JSON line" >&2; exit 1; }
     grep -q '"all_twin_replays_identical":1' "$SMOKE_DIR/chaos.json" \
-        || { echo "rt chaos smoke: a sim twin diverged from the host action log" >&2; exit 1; }
+        || { echo "rt chaos smoke: a sim twin's two replays diverged under a fixed seed" >&2; exit 1; }
     grep -q '"any_stall_detected":1' "$SMOKE_DIR/chaos.json" \
         || { echo "rt chaos smoke: no injected stall was detected" >&2; exit 1; }
     grep -q '"any_stall_recovered":1' "$SMOKE_DIR/chaos.json" \
