@@ -209,23 +209,6 @@ impl HdrHistogram {
         self.quantile(0.5)
     }
 
-    /// Fraction of observations in buckets strictly above `threshold`
-    /// (resolved at bucket granularity, like
-    /// [`crate::Histogram::fraction_above`]).
-    pub fn fraction_above(&self, threshold: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let above: u64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.bucket_bounds(*i).0 > threshold)
-            .map(|(_, &c)| c)
-            .sum();
-        above as f64 / self.total as f64
-    }
-
     /// Iterates over non-empty buckets as `(lower, upper, count)`.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.counts
@@ -371,7 +354,6 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.fraction_above(0), 0.0);
         assert_eq!(h.buckets().count(), 0);
     }
 
@@ -436,18 +418,5 @@ mod tests {
         assert_eq!(a.count(), b.count());
         assert_eq!(a.mean(), b.mean());
         assert_eq!(a.quantile(0.5), b.quantile(0.5));
-    }
-
-    #[test]
-    fn fraction_above_resolves_at_bucket_granularity() {
-        let mut h = HdrHistogram::new(7);
-        for _ in 0..90 {
-            h.record(50);
-        }
-        for _ in 0..10 {
-            h.record(5_000_000);
-        }
-        assert!((h.fraction_above(1_000) - 0.10).abs() < 1e-12);
-        assert!((h.fraction_above(5_000_001) - 0.0).abs() < 1e-12);
     }
 }
